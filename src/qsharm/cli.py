@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .evaluate import DomainError, eval_harmonic, harmonic, phi_period
+from .evaluate import DomainError, eval_grid, eval_harmonic, harmonic, phi_period
 from .norms import norm_theta
 from .numerics import (
     HalfInt,
@@ -345,19 +345,18 @@ def _cmd_sample(args) -> int:
     l, m = _resolve_pair(args)
     h = harmonic(l, m)
     period = phi_period(m)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["theta", "phi", "re", "im", "abs2"])
     thetas = [j * math.pi / (args.n_theta - 1) for j in range(args.n_theta)]
     phis = [k * period / args.n_phi for k in range(args.n_phi)]
-    for theta in thetas:
-        for phi in phis:
-            value = eval_harmonic(
-                h, theta, phi,
-                unit_normalized=args.normalized, phi_range=args.phi_range,
-            )
-            writer.writerow([repr(theta), repr(phi), repr(value.real), repr(value.imag),
-                             repr(value.real ** 2 + value.imag ** 2)])
+    grid = eval_grid(h, thetas, phis, unit_normalized=args.normalized, phi_range=args.phi_range)
+    phi_reprs = [repr(phi) for phi in phis]
+    buf = io.StringIO()
+    buf.write("theta,phi,re,im,abs2\n")
+    # Float reprs hold no comma or quote, so rows need no CSV quoting.
+    for theta, row in zip(thetas, grid):
+        theta_repr = repr(theta)
+        for phi_repr, value in zip(phi_reprs, row):
+            re, im = value.real, value.imag
+            buf.write(f"{theta_repr},{phi_repr},{re!r},{im!r},{re ** 2 + im ** 2!r}\n")
     _write_out(buf.getvalue(), args.out)
     return 0
 

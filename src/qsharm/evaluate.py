@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .norms import norm_theta
+from .norms import norm_theta, phi_factor_over_pi
 from .numerics import HalfInt, PiScaled
 from .series import (
     LegendreFunction,
@@ -59,7 +59,9 @@ def eval_theta(f: LegendreFunction, theta: float) -> float:
 
 
 def eval_phi(m: HalfInt, phi: float) -> complex:
-    """Phi factor exp(i*m*phi); unit modulus for every real phi."""
+    """Phi factor exp(i*m*phi); unit modulus for every finite phi."""
+    if not math.isfinite(phi):
+        raise DomainError(f"phi={phi} is not finite")
     reduced = phi % phi_period(m) if m else 0.0
     return cmath.exp(1j * (m.twice / 2) * reduced)
 
@@ -85,29 +87,28 @@ def harmonic(l: HalfInt, m: HalfInt) -> QuasiHarmonic:
     return QuasiHarmonic(pair=pair, theta_part=f, norm=norm_theta(f))
 
 
-def eval_harmonic(
-    h: QuasiHarmonic,
-    theta: float,
-    phi: float,
-    unit_normalized: bool = False,
-    phi_range: str = "2pi",
-) -> complex:
-    """Evaluate Theta(theta) * Phi(phi), optionally unit-normalized.
+def eval_grid(h: QuasiHarmonic, thetas: list[float], phis: list[float],
+              unit_normalized: bool = False, phi_range: str = "2pi") -> list[list[complex]]:
+    """Y on the theta-row x phi-column grid, optionally unit-normalized.
 
-    Unit normalization divides by sqrt(phi_factor * norm_theta) where
-    the phi factor is 2*pi, or 4*pi for half-odd-integer m under the
-    doubled phi range.
+    Y separates as Theta(theta) * Phi(phi), so a grid costs one exact
+    Theta pass per row and one Phi per column.  Unit normalization
+    divides by sqrt(phi_factor * norm_theta); see phi_factor_over_pi.
     """
-    value = eval_theta(h.theta_part, theta) * eval_phi(h.pair.m, phi)
+    rows = [eval_theta(h.theta_part, theta) for theta in thetas]
+    cols = [eval_phi(h.pair.m, phi) for phi in phis]
     if not unit_normalized:
-        return value
+        return [[t * p for p in cols] for t in rows]
     if h.norm is None:
         raise ValueError("harmonic carries no norm; build it with harmonic()")
-    if phi_range not in ("2pi", "4pi"):
-        raise ValueError(f"phi_range must be '2pi' or '4pi', got {phi_range!r}")
-    doubled = phi_range == "4pi" and h.pair.m.is_half_odd
-    phi_factor = 4 * math.pi if doubled else 2 * math.pi
-    return value / math.sqrt(phi_factor * float(h.norm))
+    scale = math.sqrt(phi_factor_over_pi(h.pair.m, phi_range) * math.pi * float(h.norm))
+    return [[t * p / scale for p in cols] for t in rows]
+
+
+def eval_harmonic(h: QuasiHarmonic, theta: float, phi: float,
+                  unit_normalized: bool = False, phi_range: str = "2pi") -> complex:
+    """Evaluate Theta(theta) * Phi(phi) at one point: the 1x1 eval_grid."""
+    return eval_grid(h, [theta], [phi], unit_normalized, phi_range)[0][0]
 
 
 def ode_residual_exact(f: LegendreFunction) -> list[Fraction]:

@@ -92,15 +92,18 @@ class FullNorm(NamedTuple):
     theta_factor: PiScaled
 
 
-def norm_full(f: LegendreFunction, phi_range: str = "2pi") -> FullNorm:
-    """Full squared norm of the harmonic built on f.
+def phi_factor_over_pi(m: HalfInt, phi_range: str) -> int:
+    """Length of the phi normalization range, in units of pi.
 
-    |Phi|^2 integrates to its domain length.  The default range is
-    [0, 2pi) for every m; "4pi" doubles the phi factor for
-    half-odd-integer |m|, whose natural domain is the double circle.
+    The default range is [0, 2pi) for every m; "4pi" doubles it for
+    half-odd-integer m, whose natural domain is the double circle.
     """
     if phi_range not in ("2pi", "4pi"):
         raise ValueError(f"phi_range must be '2pi' or '4pi', got {phi_range!r}")
-    doubled = phi_range == "4pi" and f.m_abs.is_half_odd
-    phi_factor = PiScaled(4 if doubled else 2, 1)
+    return 4 if phi_range == "4pi" and m.is_half_odd else 2
+
+
+def norm_full(f: LegendreFunction, phi_range: str = "2pi") -> FullNorm:
+    """Full squared norm of the harmonic built on f; |Phi|^2 gives phi_factor_over_pi * pi."""
+    phi_factor = PiScaled(phi_factor_over_pi(f.m_abs, phi_range), 1)
     return FullNorm(phi_factor=phi_factor, theta_factor=norm_theta(f))

@@ -1,6 +1,7 @@
 """Command-line surface: formats, round-trips, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -167,6 +168,14 @@ class TestEvalCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+    def test_non_finite_phi_exits_nonzero(self, capsys, phi):
+        code, out, err = run_cli(
+            capsys, "eval", "--two-l", "3", "--two-m", "1", "--theta", "1", f"--phi={phi}"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
     def test_theta_domain_error_exits_nonzero(self, capsys):
         code, _, err = run_cli(
             capsys, "eval", "--two-l", "2", "--two-m", "0", "--theta", "4.0", "--phi", "0"
@@ -216,6 +225,38 @@ class TestSampleCommand:
         assert code == 0
         text = target.read_text()
         assert text.splitlines()[0] == "theta,phi,re,im,abs2"
+
+    # SHA-256 of the CSV as written by the point-by-point evaluator that
+    # preceded eval_grid: the grid path must not change a byte.
+    @pytest.mark.parametrize("two_l, two_m, n_theta, n_phi, flags, digest", [
+        (1, 1, 2, 2, (), "6b0d3a875ada3e410e08a8ba96897ea4a60eacb04a0e211f4201a40a1ab28029"),
+        (1, -1, 16, 16, ("--normalized",),
+         "fff26dc78ca4da0686034ee2b2c3e00349fb7b237c9ee2001f62125370dc0eff"),
+        (3, -3, 8, 5, ("--normalized", "--phi-range", "4pi"),
+         "6d07542bb8d01a275ebaba1fb3efd10ccab76c8ec1d5e70bb5ec19f61539ecde"),
+        (4, 0, 33, 17, (), "b32ddced9b51cf1fcbd7c8dc32bcdb77343c12fd46aca0fcfe86c2be69e438a8"),
+        (6, 4, 64, 64, ("--normalized",),
+         "1b842de280fc1aed676444e2572f77977bee957c8788d0ac8485dadcd4f4b6ae"),
+        (6, -4, 10, 64, ("--normalized", "--phi-range", "4pi"),
+         "f2ab685ebd2c00457f34b449d288a7e5cebfaaa0b349215afdb46840dab5cf94"),
+        (25, 7, 21, 9, ("--normalized", "--phi-range", "4pi"),
+         "c9f5e36708429b3bdfc4fb0c07499b6a9c97f3390dabe7c0e2a08238836faf3e"),
+        (41, -13, 64, 2, (), "0501d4062faadce47dbacb461ca266d579ad9cc342544277adebb3f98e53260d"),
+        (60, -20, 31, 40, ("--normalized",),
+         "796d220bdfe3f94a8144cbdee7bdc48aeb46ac94d6d5f5dd2c123a8a254a3916"),
+        (101, 1, 50, 32, ("--normalized", "--phi-range", "4pi"),
+         "81d237fcc1659a7cf518b42e2e954dd26d507dc5206ec3592623d594445d3537"),
+        (101, -101, 2, 64, (), "7045062addcb1463bcc0e98d0ff0cb00a3b5bf9e904905eae6c92461bf97bc81"),
+        (100, -50, 64, 3, ("--normalized",),
+         "dc0bd7f82e7e671f696c1d68c5c8495197f8795a31d48d65e625112d98ec37e7"),
+    ])
+    def test_csv_bytes_pinned(self, capsys, two_l, two_m, n_theta, n_phi, flags, digest):
+        code, out, _ = run_cli(
+            capsys, "sample", "--two-l", str(two_l), "--two-m", str(two_m),
+            "--n-theta", str(n_theta), "--n-phi", str(n_phi), *flags,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
     def test_too_few_samples_rejected(self, capsys):
         code, _, err = run_cli(

@@ -8,6 +8,7 @@ import pytest
 from qsharm.evaluate import (
     DomainError,
     QuasiHarmonic,
+    eval_grid,
     eval_harmonic,
     eval_phi,
     eval_theta,
@@ -98,6 +99,12 @@ class TestEvalPhi:
                 phi = rng.uniform(0.0, 2 * math.pi)
                 assert abs(eval_phi(m, phi + 2 * math.pi) - eval_phi(m, phi)) < 1e-12
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_is_domain_error(self, phi):
+        for two_m in (0, 1, -2):
+            with pytest.raises(DomainError):
+                eval_phi(HalfInt(two_m), phi)
+
     def test_period_lengths(self):
         assert phi_period(HalfInt(1)) == 4 * math.pi
         assert phi_period(HalfInt(2)) == 2 * math.pi
@@ -147,6 +154,26 @@ class TestEvalHarmonic:
         )
         with pytest.raises(ValueError):
             eval_harmonic(bare, 1.0, 1.0, unit_normalized=True)
+
+
+class TestEvalGrid:
+    @pytest.mark.parametrize("unit_normalized, phi_range", [
+        (False, "2pi"), (True, "2pi"), (True, "4pi"),
+    ])
+    def test_entries_equal_pointwise_evaluation(self, unit_normalized, phi_range):
+        thetas = [0.0, 0.4, 1.3, math.pi / 2, 2.9, math.pi]
+        phis = [0.0, 0.8, 3.7, 7.1, 12.5]
+        for two_l, two_m in ((0, 0), (1, -1), (5, 3), (8, -4), (21, -7)):
+            h = harmonic(HalfInt(two_l), HalfInt(two_m))
+            grid = eval_grid(h, thetas, phis, unit_normalized, phi_range)
+            assert [[eval_harmonic(h, t, p, unit_normalized, phi_range) for p in phis]
+                    for t in thetas] == grid
+
+    def test_empty_axes_give_empty_shape(self):
+        h = harmonic(HalfInt(3), HalfInt(1))
+        assert eval_grid(h, [], [0.5, 1.0]) == []
+        assert eval_grid(h, [0.5, 1.0], []) == [[], []]
+        assert eval_grid(h, [], [], unit_normalized=True) == []
 
 
 class TestOdeResidualExact:
