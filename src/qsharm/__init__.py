@@ -4,112 +4,31 @@ Constructs, normalizes, evaluates and cross-verifies P_l^{|m|} and
 Y_l^m(theta, phi) for integer and half-odd-integer quantum numbers,
 with all table-facing arithmetic exact (rationals, and rational
 multiples of pi for the half-odd-integer normalization integrals).
+
+The package namespace holds the documented surface; every other name
+is imported from its own module (``qsharm.series``, ``qsharm.norms``,
+...).
 """
 
-from .numerics import (
-    BigRational,
-    HalfInt,
-    MixedPiDegree,
-    PiScaled,
-    halfint_from_string,
-    halfint_from_twice,
-    pi_scaled_add,
-    pi_scaled_from_json,
-    pi_scaled_mul_rat,
-    pi_scaled_to_json,
-)
-from .series import (
-    AllZero,
-    InvalidPair,
-    LegendreFunction,
-    Normalization,
-    QuantumPair,
-    TridiagonalSystem,
-    build_system,
-    eigenvalue,
-    family_scale,
-    legendre_function,
-    normalize_smallest_integers,
-    series_coefficients,
-)
-from .norms import (
-    FullNorm,
-    MixedM,
-    beta_moment,
-    inner_product,
-    norm_full,
-    norm_theta,
-)
-from .evaluate import (
-    DomainError,
-    QuasiHarmonic,
-    eval_grid,
-    eval_harmonic,
-    eval_phi,
-    eval_theta,
-    harmonic,
-    ode_residual_exact,
-    ode_residual_numeric,
-    phi_period,
-    quadrature_norm,
-)
-from .verify import (
-    NotProportional,
-    Suite,
-    VerificationReport,
-    downward_coefficients,
-    proportionality_check,
-    recurrence_family,
-    run_suite,
-)
+from .numerics import HalfInt, PiScaled
+from .series import InvalidPair, LegendreFunction, legendre_function
+from .norms import norm_theta
+from .evaluate import DomainError, QuasiHarmonic, eval_grid, eval_harmonic, harmonic
+from .verify import run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllZero",
-    "BigRational",
     "DomainError",
-    "FullNorm",
     "HalfInt",
     "InvalidPair",
     "LegendreFunction",
-    "MixedM",
-    "MixedPiDegree",
-    "Normalization",
-    "NotProportional",
     "PiScaled",
-    "QuantumPair",
     "QuasiHarmonic",
-    "Suite",
-    "TridiagonalSystem",
-    "VerificationReport",
-    "beta_moment",
-    "build_system",
-    "downward_coefficients",
-    "eigenvalue",
     "eval_grid",
     "eval_harmonic",
-    "eval_phi",
-    "eval_theta",
-    "family_scale",
-    "halfint_from_string",
-    "halfint_from_twice",
     "harmonic",
-    "inner_product",
     "legendre_function",
-    "norm_full",
     "norm_theta",
-    "normalize_smallest_integers",
-    "ode_residual_exact",
-    "ode_residual_numeric",
-    "phi_period",
-    "pi_scaled_add",
-    "pi_scaled_from_json",
-    "pi_scaled_mul_rat",
-    "pi_scaled_to_json",
-    "proportionality_check",
-    "quadrature_norm",
-    "recurrence_family",
     "run_suite",
-    "series_coefficients",
 ]

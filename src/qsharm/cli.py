@@ -18,13 +18,7 @@ from fractions import Fraction
 
 from .evaluate import DomainError, eval_grid, eval_harmonic, harmonic, phi_period
 from .norms import norm_theta
-from .numerics import (
-    HalfInt,
-    PiScaled,
-    halfint_from_string,
-    pi_scaled_to_json,
-    rational_to_string,
-)
+from .numerics import HalfInt, PiScaled, halfint_from_string, pi_scaled_to_json
 from .series import (
     InvalidPair,
     LegendreFunction,
@@ -38,8 +32,18 @@ from .verify import SUITE_NAMES, run_suite
 # ---------------------------------------------------------------------------
 
 
-def format_poly_text(coeffs) -> str:
-    """Render a coefficient list as e.g. "15x-80x^3+80x^5"."""
+def text_exponent(e) -> str:
+    """Text exponent of an int or rational: "^3", "^(3/4)"."""
+    return f"^{e}" if e.denominator == 1 else f"^({e})"
+
+
+def latex_exponent(e) -> str:
+    """LaTeX exponent of an int or rational: "^{3}", "^{3/4}"."""
+    return f"^{{{e}}}"
+
+
+def format_poly(coeffs, exponent) -> str:
+    """Render a coefficient list, e.g. "15x-80x^3+80x^5" with text_exponent."""
     terms = []
     for power, c in enumerate(coeffs):
         c = Fraction(c)
@@ -50,51 +54,18 @@ def format_poly_text(coeffs) -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else str(mag)
-            body = f"{head}x" if power == 1 else f"{head}x^{power}"
+            body = f"{head}x" if power == 1 else f"{head}x{exponent(power)}"
         sign = "-" if c < 0 else ("+" if terms else "")
         terms.append(f"{sign}{body}")
     return "".join(terms) if terms else "0"
 
 
-def format_poly_latex(coeffs) -> str:
-    """Like format_poly_text but with braced exponents: "15x-80x^{3}+80x^{5}"."""
-    terms = []
-    for power, c in enumerate(coeffs):
-        c = Fraction(c)
-        if c == 0:
-            continue
-        mag = abs(c)
-        if power == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else str(mag)
-            body = f"{head}x" if power == 1 else f"{head}x^{{{power}}}"
-        sign = "-" if c < 0 else ("+" if terms else "")
-        terms.append(f"{sign}{body}")
-    return "".join(terms) if terms else "0"
-
-
-def format_factor_text(m_abs: HalfInt) -> str:
-    """Prefactor (1-x^2)^(|m|/2) as text; "1" for |m| = 0."""
+def format_factor(m_abs: HalfInt, exponent) -> str:
+    """Prefactor (1-x^2)^(|m|/2); "1" for |m| = 0, "(1-x^2)" for |m| = 2."""
     if m_abs.twice == 0:
         return "1"
     e = Fraction(m_abs.twice, 4)
-    if e == 1:
-        return "(1-x^2)"
-    if e.denominator == 1:
-        return f"(1-x^2)^{e}"
-    return f"(1-x^2)^({e})"
-
-
-def format_factor_latex(m_abs: HalfInt) -> str:
-    if m_abs.twice == 0:
-        return "1"
-    e = Fraction(m_abs.twice, 4)
-    return "(1-x^2)" if e == 1 else f"(1-x^2)^{{{e}}}"
-
-
-def format_pi_scaled_text(v: PiScaled) -> str:
-    return str(v)
+    return "(1-x^2)" if e == 1 else f"(1-x^2){exponent(e)}"
 
 
 def format_pi_scaled_latex(v: PiScaled) -> str:
@@ -111,13 +82,10 @@ def format_pi_scaled_latex(v: PiScaled) -> str:
     return f"{sign}\\frac{{{head}}}{{{den}}}"
 
 
-def legendre_record(f: LegendreFunction) -> dict:
-    """JSON-facing record for one table entry."""
-    return {
-        "two_m": f.m_abs.twice,
-        "i": f.degree,
-        "coeffs": [rational_to_string(c) for c in f.coeffs],
-    }
+def _latex_halfint(h: HalfInt) -> str:
+    if h.is_integer:
+        return str(h.twice // 2)
+    return f"\\frac{{{h.twice}}}{{2}}"
 
 
 def legendre_from_record(record: dict) -> LegendreFunction:
@@ -140,111 +108,65 @@ def parse_table_json(text: str) -> list[LegendreFunction]:
 # table subcommand
 # ---------------------------------------------------------------------------
 
-
-def _table_functions(two_m_max: int, i_max: int) -> list[LegendreFunction]:
-    out = []
-    for two_m in range(two_m_max + 1):
-        for i in range(i_max + 1):
-            m_abs = HalfInt(two_m)
-            out.append(legendre_function(m_abs + HalfInt(2 * i), m_abs))
-    return out
-
-
-def _render_grid(rows: list[list[str]]) -> str:
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows]
-    return "\n".join(lines) + "\n"
+# Cell formatters of the symbolic formats: |m| label, exponent, norm.
+_CELL_FORMATS = {
+    "text": (str, text_exponent, str),
+    "latex": (_latex_halfint, latex_exponent, format_pi_scaled_latex),
+}
 
 
 def render_table(kind: str, two_m_max: int, i_max: int, fmt: str) -> str:
     """Render the (|m|, i) grid of polynomials or norms in one format."""
-    funcs = _table_functions(two_m_max, i_max)
-    by_m: dict[int, list[LegendreFunction]] = {}
-    for f in funcs:
-        by_m.setdefault(f.m_abs.twice, []).append(f)
+    if kind not in ("legendre", "norms"):
+        raise ValueError(f"unknown table kind {kind!r}")
+    if fmt not in ("json", "csv", *_CELL_FORMATS):
+        raise ValueError(f"unknown format {fmt!r}")
+    legendre = kind == "legendre"
+    grid = [
+        [legendre_function(HalfInt(two_m + 2 * i), HalfInt(two_m)) for i in range(i_max + 1)]
+        for two_m in range(two_m_max + 1)
+    ]
 
-    if fmt == "json":
-        entries = []
-        for f in funcs:
-            rec = legendre_record(f)
-            if kind == "norms":
-                rec = {
-                    "two_m": rec["two_m"],
-                    "i": rec["i"],
-                    "norm": pi_scaled_to_json(norm_theta(f)),
-                }
-            entries.append(rec)
-        doc = {"kind": kind, "two_m_max": two_m_max, "i_max": i_max, "entries": entries}
-        return json.dumps(doc, indent=2) + "\n"
-
-    if fmt == "csv":
+    if fmt in ("json", "csv"):
+        records = []
+        for f in [f for row in grid for f in row]:
+            if legendre:
+                value = {"coeffs": [str(c) for c in f.coeffs]}
+            else:
+                value = {"norm": pi_scaled_to_json(norm_theta(f))}
+            records.append({"two_m": f.m_abs.twice, "i": f.degree, **value})
+        if fmt == "json":
+            doc = {"kind": kind, "two_m_max": two_m_max, "i_max": i_max, "entries": records}
+            return json.dumps(doc, indent=2) + "\n"
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if kind == "legendre":
-            writer.writerow(["two_m", "i", "coeffs"])
-            for f in funcs:
-                writer.writerow(
-                    [f.m_abs.twice, f.degree, " ".join(rational_to_string(c) for c in f.coeffs)]
-                )
-        else:
-            writer.writerow(["two_m", "i", "q", "pi"])
-            for f in funcs:
-                v = norm_theta(f)
-                writer.writerow([f.m_abs.twice, f.degree, rational_to_string(v.q), v.pi_exponent])
+        writer.writerow(["two_m", "i", "coeffs"] if legendre else ["two_m", "i", "q", "pi"])
+        for r in records:
+            tail = [" ".join(r["coeffs"])] if legendre else [r["norm"]["q"], r["norm"]["pi"]]
+            writer.writerow([r["two_m"], r["i"], *tail])
         return buf.getvalue()
 
+    label, exponent, norm_cell = _CELL_FORMATS[fmt]
+    rows = [(["|m|", "factor"] if legendre else ["|m|"]) + [f"i={i}" for i in range(i_max + 1)]]
+    for two_m, funcs in enumerate(grid):
+        m_abs = HalfInt(two_m)
+        row = [label(m_abs)]
+        if legendre:
+            row.append(format_factor(m_abs, exponent))
+            row += [format_poly(f.coeffs, exponent) for f in funcs]
+        else:
+            row += [norm_cell(norm_theta(f)) for f in funcs]
+        rows.append(row)
+
     if fmt == "text":
-        if kind == "legendre":
-            rows = [["|m|", "factor"] + [f"i={i}" for i in range(i_max + 1)]]
-            for two_m in sorted(by_m):
-                m_abs = HalfInt(two_m)
-                rows.append(
-                    [str(m_abs), format_factor_text(m_abs)]
-                    + [format_poly_text(f.coeffs) for f in by_m[two_m]]
-                )
-        else:
-            rows = [["|m|"] + [f"i={i}" for i in range(i_max + 1)]]
-            for two_m in sorted(by_m):
-                rows.append(
-                    [str(HalfInt(two_m))]
-                    + [format_pi_scaled_text(norm_theta(f)) for f in by_m[two_m]]
-                )
-        return _render_grid(rows)
-
-    if fmt == "latex":
-        lines = []
-        if kind == "legendre":
-            cols = "|c|l" + "l" * (i_max + 1) + "|"
-            lines.append(f"\\begin{{tabular}}{{{cols}}}")
-            lines.append("\\hline")
-            header = ["|m|", "factor"] + [f"i={i}" for i in range(i_max + 1)]
-            lines.append(" & ".join(header) + " \\\\\\hline")
-            for two_m in sorted(by_m):
-                m_abs = HalfInt(two_m)
-                cells = [_latex_halfint(m_abs), format_factor_latex(m_abs)]
-                cells += [format_poly_latex(f.coeffs) for f in by_m[two_m]]
-                lines.append(" & ".join(cells) + " \\\\")
-        else:
-            cols = "|c|" + "c" * (i_max + 1) + "|"
-            lines.append(f"\\begin{{tabular}}{{{cols}}}")
-            lines.append("\\hline")
-            header = ["|m|"] + [f"i={i}" for i in range(i_max + 1)]
-            lines.append(" & ".join(header) + " \\\\\\hline")
-            for two_m in sorted(by_m):
-                cells = [_latex_halfint(HalfInt(two_m))]
-                cells += [format_pi_scaled_latex(norm_theta(f)) for f in by_m[two_m]]
-                lines.append(" & ".join(cells) + " \\\\")
-        lines.append("\\hline")
-        lines.append("\\end{tabular}")
+        widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows]
         return "\n".join(lines) + "\n"
-
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _latex_halfint(h: HalfInt) -> str:
-    if h.is_integer:
-        return str(h.twice // 2)
-    return f"\\frac{{{h.twice}}}{{2}}"
+    cols = "|c|" + ("l" * (i_max + 2) if legendre else "c" * (i_max + 1)) + "|"
+    lines = [f"\\begin{{tabular}}{{{cols}}}", "\\hline", " & ".join(rows[0]) + " \\\\\\hline"]
+    lines += [" & ".join(r) + " \\\\" for r in rows[1:]]
+    lines += ["\\hline", "\\end{tabular}"]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,18 @@ computed by the exact Wallis-style reductions
     M(m, k) = M(m, k-1) * (2k-1) / (2|m| + 2k + 1)
     M(m, 0) = M(m-1, 0) * 2|m| / (2|m| + 1)
 
-from the bases M(0, 0) = 2 and M(1/2, 0) = pi/2.  Each moment and each
-norm is a rational number for integer |m| and a rational multiple of pi
-for half-odd-integer |m|; nothing is ever evaluated in floating point.
+from the bases M(0, 0) = 2 and M(1/2, 0) = pi/2, each run upward as one
+loop, so no result depends on recursion depth or on a cache.  Each
+moment and each norm is a rational number for integer |m| and a
+rational multiple of pi for half-odd-integer |m|; nothing is ever
+evaluated in floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple
+from itertools import count, islice
+from typing import Iterator, NamedTuple
 
 from .numerics import HalfInt, PiScaled
 from .series import LegendreFunction, poly_mul
@@ -29,16 +31,15 @@ class MixedM(ValueError):
     """Inner product requested between functions of different order |m|."""
 
 
-@lru_cache(maxsize=None)
-def _moment_q(twice_m: int, k: int) -> Fraction:
-    """Rational part of M(m, k); the pi factor is twice_m's parity."""
-    if k > 0:
-        return _moment_q(twice_m, k - 1) * Fraction(2 * k - 1, twice_m + 2 * k + 1)
-    if twice_m == 0:
-        return Fraction(2)
-    if twice_m == 1:
-        return Fraction(1, 2)
-    return _moment_q(twice_m - 2, 0) * Fraction(twice_m, twice_m + 1)
+def _moments_q(twice_m: int) -> Iterator[Fraction]:
+    """Rational parts of M(m, 0), M(m, 1), ...; the pi factor is twice_m's parity."""
+    num, den = (1, 2) if twice_m % 2 else (2, 1)
+    for s in range(twice_m, 1, -2):
+        num, den = num * s, den * (s + 1)
+    q = Fraction(num, den)
+    for k in count(1):
+        yield q
+        q *= Fraction(2 * k - 1, twice_m + 2 * k + 1)
 
 
 def beta_moment(m_abs: HalfInt, k: int) -> PiScaled:
@@ -47,21 +48,20 @@ def beta_moment(m_abs: HalfInt, k: int) -> PiScaled:
         raise ValueError("order must be non-negative")
     if k < 0:
         raise ValueError("moment index must be non-negative")
-    return PiScaled(_moment_q(m_abs.twice, k), m_abs.twice % 2)
+    return PiScaled(next(islice(_moments_q(m_abs.twice), k, None)), m_abs.twice % 2)
 
 
 def _even_moment_sum(m_abs: HalfInt, product: list[Fraction]) -> PiScaled:
     """Integrate a polynomial against the weight via its even coefficients.
 
     Odd powers integrate to zero by symmetry, so only even coefficients
-    contribute.
+    contribute; the moments run upward alongside them.
     """
-    total = PiScaled(0)
-    for power, c in enumerate(product):
-        if c == 0 or power % 2 == 1:
-            continue
-        total = total + beta_moment(m_abs, power // 2).mul_rational(c)
-    return total
+    total = Fraction(0)
+    for c, q in zip(product[::2], _moments_q(m_abs.twice)):
+        if c:
+            total += c * q
+    return PiScaled(total, m_abs.twice % 2)
 
 
 def norm_theta(f: LegendreFunction) -> PiScaled:

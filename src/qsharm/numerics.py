@@ -114,11 +114,6 @@ class HalfInt:
         return f"HalfInt({self.twice})"
 
 
-def halfint_from_twice(t: int) -> HalfInt:
-    """Build the half-integer t/2 from its doubled value."""
-    return HalfInt(t)
-
-
 def halfint_from_string(text: str) -> HalfInt:
     """Parse "2", "-3" or "3/2" into an exact HalfInt.
 
@@ -214,30 +209,10 @@ class PiScaled:
         return f"PiScaled({self.q!r}, {self.pi_exponent})"
 
 
-def pi_scaled_add(a: PiScaled, b: PiScaled) -> PiScaled:
-    """Exact sum; raises MixedPiDegree unless exponents agree or a side is zero."""
-    return a + b
-
-
-def pi_scaled_mul_rat(a: PiScaled, r) -> PiScaled:
-    """Exact product of a PiScaled value with a rational scalar."""
-    return a.mul_rational(r)
-
-
-def rational_to_string(r: Fraction) -> str:
-    """Render a rational as "num/den" ("num" when the denominator is 1)."""
-    return str(r)
-
-
-def rational_from_string(text: str) -> Fraction:
-    """Parse "num/den" or "num" into an exact rational."""
-    return Fraction(text.strip())
-
-
 def pi_scaled_to_json(v: PiScaled) -> dict:
     """JSON form of a PiScaled value: {"q": "num/den", "pi": 0 | 1}."""
-    return {"q": rational_to_string(v.q), "pi": v.pi_exponent}
+    return {"q": str(v.q), "pi": v.pi_exponent}
 
 
 def pi_scaled_from_json(obj: dict) -> PiScaled:
-    return PiScaled(rational_from_string(obj["q"]), int(obj["pi"]))
+    return PiScaled(Fraction(obj["q"]), int(obj["pi"]))

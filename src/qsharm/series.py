@@ -215,7 +215,6 @@ def family_scale(i: int) -> int:
 class Normalization(enum.Enum):
     SMALLEST_INTEGERS = "smallest-integers"
     RECURRENCE_SEEDED = "recurrence-seeded"
-    UNIT_NORM = "unit-norm"
 
 
 @dataclass(frozen=True)

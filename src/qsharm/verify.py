@@ -194,10 +194,6 @@ def lattice(two_l_max: int) -> Iterator[tuple[HalfInt, int]]:
             yield HalfInt(two_m), i
 
 
-def _fval(v: PiScaled) -> str:
-    return str(v)
-
-
 def _suite_tables(two_l_max: int) -> list[CaseResult]:
     cases = []
     points = [
@@ -216,7 +212,7 @@ def _suite_tables(two_l_max: int) -> list[CaseResult]:
         got = norm_theta(f)
         want = golden.reference_norm(m_abs.twice, i)
         ok = got == want
-        desc = "exact match" if ok else f"got {_fval(got)}, want {_fval(want)}"
+        desc = "exact match" if ok else f"got {got}, want {want}"
         cases.append(CaseResult(f"norm/2m={m_abs.twice}/i={i}", ok, desc))
     return cases
 
@@ -308,7 +304,7 @@ def _suite_orthogonality(two_l_max: int) -> list[CaseResult]:
                 g = legendre_function(m_abs + HalfInt(2 * j), m_abs)
                 value = inner_product(f, g)
                 ok = value.is_zero
-                desc = "exact zero" if ok else f"nonzero {_fval(value)}"
+                desc = "exact zero" if ok else f"nonzero {value}"
                 cases.append(CaseResult(f"2m={two_m}/i={i}/j={j}", ok, desc))
     return cases
 
@@ -323,9 +319,9 @@ def _suite_norms(two_l_max: int) -> list[CaseResult]:
         if value.pi_exponent != m_abs.twice % 2:
             problems.append(f"pi exponent {value.pi_exponent}")
         if not value.q > 0:
-            problems.append(f"non-positive {_fval(value)}")
+            problems.append(f"non-positive {value}")
         if full.phi_factor != PiScaled(2, 1):
-            problems.append(f"phi factor {_fval(full.phi_factor)}")
+            problems.append(f"phi factor {full.phi_factor}")
         if full.theta_factor != value:
             problems.append("full norm theta factor mismatch")
         ok = not problems

@@ -9,11 +9,12 @@ import math
 import pytest
 
 from qsharm.cli import (
-    format_factor_text,
-    format_poly_text,
+    format_factor,
+    format_poly,
     main,
     parse_table_json,
     render_table,
+    text_exponent,
 )
 from qsharm.evaluate import eval_harmonic, harmonic
 from qsharm.numerics import HalfInt
@@ -28,17 +29,17 @@ def run_cli(capsys, *argv):
 
 class TestFormatting:
     def test_poly_text(self):
-        assert format_poly_text([1]) == "1"
-        assert format_poly_text([0, 1]) == "x"
-        assert format_poly_text([1, 0, -6]) == "1-6x^2"
-        assert format_poly_text([0, 15, 0, -80, 0, 80]) == "15x-80x^3+80x^5"
-        assert format_poly_text([0, -1]) == "-x"
+        assert format_poly([1], text_exponent) == "1"
+        assert format_poly([0, 1], text_exponent) == "x"
+        assert format_poly([1, 0, -6], text_exponent) == "1-6x^2"
+        assert format_poly([0, 15, 0, -80, 0, 80], text_exponent) == "15x-80x^3+80x^5"
+        assert format_poly([0, -1], text_exponent) == "-x"
 
     def test_factor_text(self):
-        assert format_factor_text(HalfInt(0)) == "1"
-        assert format_factor_text(HalfInt(3)) == "(1-x^2)^(3/4)"
-        assert format_factor_text(HalfInt(4)) == "(1-x^2)"
-        assert format_factor_text(HalfInt(8)) == "(1-x^2)^2"
+        assert format_factor(HalfInt(0), text_exponent) == "1"
+        assert format_factor(HalfInt(3), text_exponent) == "(1-x^2)^(3/4)"
+        assert format_factor(HalfInt(4), text_exponent) == "(1-x^2)"
+        assert format_factor(HalfInt(8), text_exponent) == "(1-x^2)^2"
 
 
 class TestTableCommand:
@@ -97,7 +98,7 @@ class TestTableCommand:
 
     def test_latex_default_tables_entry_equivalent_to_golden(self, capsys):
         """Every default-table LaTeX cell carries the golden entry for its slot."""
-        from qsharm.cli import format_factor_latex, format_pi_scaled_latex, format_poly_latex
+        from qsharm.cli import format_pi_scaled_latex, latex_exponent
         from qsharm.golden import reference_norm, reference_polynomial
 
         _, poly_doc, _ = run_cli(capsys, "table", "legendre", "--format", "latex")
@@ -108,9 +109,10 @@ class TestTableCommand:
         for two_m in range(12):
             poly_cells = [c.strip() for c in poly_rows[two_m].rstrip("\\").split("&")]
             norm_cells = [c.strip() for c in norm_rows[two_m].rstrip("\\").split("&")]
-            assert poly_cells[1] == format_factor_latex(HalfInt(two_m))
+            assert poly_cells[1] == format_factor(HalfInt(two_m), latex_exponent)
             for i in range(6):
-                assert poly_cells[2 + i] == format_poly_latex(reference_polynomial(two_m, i))
+                poly = reference_polynomial(two_m, i)
+                assert poly_cells[2 + i] == format_poly(poly, latex_exponent)
                 assert norm_cells[1 + i] == format_pi_scaled_latex(reference_norm(two_m, i))
 
     def test_out_file(self, capsys, tmp_path):
@@ -125,6 +127,98 @@ class TestTableCommand:
         code, _, err = run_cli(capsys, "table", "legendre", "--two-m-max", "-1")
         assert code == 1
         assert "error" in err
+
+    # SHA-256 of `qsharm table` output as written by the per-(kind, format)
+    # renderer that preceded the shared row builder: not a byte may change.
+    @pytest.mark.parametrize("kind, two_m_max, i_max, fmt, digest", [
+        ("legendre", 11, 5, "text",
+         "e6be3083f0a2dc6ae52c9ea5c7bfeab92bbe2013e996888fa669764a17b58cdd"),
+        ("legendre", 11, 5, "csv",
+         "40239922ea4453bf5a149747fd9168439e8b54facdda149106bbf1c74b91df2c"),
+        ("legendre", 11, 5, "json",
+         "f7b8a071287621200cf74e300e0f7fe212a51f9550582edafa8fb2ea013182ab"),
+        ("legendre", 11, 5, "latex",
+         "8097cda5ccfd3e8d10bbe81e5cb27fa9767641cddac3dbd34533fc17130b7ae1"),
+        ("norms", 11, 5, "text",
+         "22dd5029b2de53427ddbdbc16a7c6d1c73dcc4fd5bb3d73492de134b103a12dd"),
+        ("norms", 11, 5, "csv",
+         "60126c474930aab63d4f2c7d87213afef8e5ee5cf1aa378721cd6c0b51ae68c3"),
+        ("norms", 11, 5, "json",
+         "903dbfe0e872c25e5cdc2fe1af58bbcbaf205cc2dbf340225b7788de9a91ca31"),
+        ("norms", 11, 5, "latex",
+         "8dce783c00b26ab3e503107875b1826d1163c474e7c3752b954f969fb7065e6a"),
+        ("legendre", 0, 0, "text",
+         "2e882d1c85dd2a78ea403636063c513aeeb4bd56861cc3e9da6ee72308e677e2"),
+        ("legendre", 0, 0, "csv",
+         "34962f57cd2e3fa30a5992323a42d952c0d5daa1afef5dc2fca78ced998e6365"),
+        ("legendre", 0, 0, "json",
+         "9717f5a0bd6ce2222c6cbce916b59ffdaceb21c5c2dc10a261c6477056432f47"),
+        ("legendre", 0, 0, "latex",
+         "540d1a73a06058cf9b9afe8b66a1b1f07f2a2253b60d299c021d4d4fab1bb7ed"),
+        ("norms", 0, 0, "text",
+         "693222e0c26f3b2ec19744eb05acc42d4c79c8c2d81ec1a39e81c65247b9cff9"),
+        ("norms", 0, 0, "csv",
+         "af5c63fb7900e8772deb49b910b6120498118c0a28fa22099f0461faba4aedbb"),
+        ("norms", 0, 0, "json",
+         "1ed6c71856d4fca0a7874c94058d41e3fc537465ebbcce684a03ee057ae6c953"),
+        ("norms", 0, 0, "latex",
+         "05ac1eae2b3b3a5481a4f6ab77deb26a6a206c2161bb53ecc6f07905531d7739"),
+        ("legendre", 1, 3, "text",
+         "d8f7145fb5fc3a08b95223a1dd28039d99ce82edc292a8ed287f1a061ee82989"),
+        ("legendre", 1, 3, "csv",
+         "c19a3064b78e0c423bc5adc5fc811ca314e9da36334788a13e25bd218f9b20b0"),
+        ("legendre", 1, 3, "json",
+         "1a1fed1632613a4daefb59ea863a1bb0023a25b29f48dd4a493ef26c47c6712e"),
+        ("legendre", 1, 3, "latex",
+         "6ff8b86d96ddb7d7994215fb9f2185794c455ff1cb3536536c412bba19de6e91"),
+        ("norms", 1, 3, "text",
+         "31654f5e2d3549606e4f886d3163e1be7159854836d0fe250deba725ec87d7df"),
+        ("norms", 1, 3, "csv",
+         "89924060450c10becfd51735bda9cd7e5b2c85db7fd2e34bd609999519201cf1"),
+        ("norms", 1, 3, "json",
+         "5f68322dc66cfdb110b39adf52f77d35fe8749a7445baa79b1af9c616c6ea3a6"),
+        ("norms", 1, 3, "latex",
+         "3ed6aa7138638db5724c65e658887c28cbd8e9c2f3d322d456097b3dd045a4e5"),
+        ("legendre", 4, 0, "text",
+         "81259a198ab5b9ff7681eba4f272beb51e4acc7948aae28a6cb73df8da7a22e8"),
+        ("legendre", 4, 0, "csv",
+         "1cca149f8e3b255d5d8105da72c288674e52053cca6cfeec1bb0a121f5f4d9ca"),
+        ("legendre", 4, 0, "json",
+         "133cbe97311f978f0a01f94db9e73156ada146d5d3cbaea29eadd473995783b1"),
+        ("legendre", 4, 0, "latex",
+         "3f4d30628c522e2686f7acf0ecc4a15bca57635f7c28132f120dd8052a50344e"),
+        ("norms", 4, 0, "text",
+         "f06d9d30e486b5458d9cda5b140bed3e19f55a7eadb59154fca090c67bb65a83"),
+        ("norms", 4, 0, "csv",
+         "25c500ae9aad18a047ae7749cd9663455ea1faff35601f6f2c9a25897a963e7d"),
+        ("norms", 4, 0, "json",
+         "bbea6df4b8b7728f1379ecd27255bd31e2572a50f3f9e6c546fd701adbc5303f"),
+        ("norms", 4, 0, "latex",
+         "66ee0d2ca7d1cd0cf563542e9ef1b43d1475c90df96c9bbed21f3bffc1e7de3e"),
+        ("legendre", 13, 7, "text",
+         "01c84f3528f6e922d65d59710ebcd3f63ed91ef89f5511e242a1c6ec41449625"),
+        ("legendre", 13, 7, "csv",
+         "007c82728ad96061e200c49740d4ed8367832e7bba9dc7bca1d8d440f10d369f"),
+        ("legendre", 13, 7, "json",
+         "12b958b7a2b88d86b2a19cad2d1bec2faad69f8d19aff2e54d5a94d1a10803a5"),
+        ("legendre", 13, 7, "latex",
+         "5dc7369a742f724f650418742e74d23cea7ac2b6ff312c841c3ec0c49a4f4f51"),
+        ("norms", 13, 7, "text",
+         "8f2924c99540a48baff4ef174f503edb91b17de2b0f0298690448862a1187833"),
+        ("norms", 13, 7, "csv",
+         "918ce913db80d39df3c411a719cb968ed24270c8e0d1329bbd88bcd50174bf46"),
+        ("norms", 13, 7, "json",
+         "6060901673e5d240ab87cd2cc23ac6cc8c52aea472e89ec1f39fc12fb2ac620e"),
+        ("norms", 13, 7, "latex",
+         "6d1edb0a01f0463acc86b75f10c32ab6da64323fd375d8756ca08fe1654a3a2e"),
+    ])
+    def test_table_bytes_pinned(self, capsys, kind, two_m_max, i_max, fmt, digest):
+        code, out, _ = run_cli(
+            capsys, "table", kind, "--two-m-max", str(two_m_max), "--i-max", str(i_max),
+            "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestEvalCommand:
@@ -175,6 +269,16 @@ class TestEvalCommand:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
+
+    def test_normalized_at_deep_half_odd_order(self, capsys):
+        # The exact norm needs the moments M(4001/2, k), 2000 levels deep.
+        code, out, err = run_cli(
+            capsys, "eval", "--two-l", "4001", "--two-m", "4001",
+            "--theta", "1", "--phi", "0", "--normalized",
+        )
+        assert (code, err) == (0, "")
+        re, im = (float(v) for v in out.split(","))
+        assert math.isfinite(re) and math.isfinite(im) and re != 0
 
     def test_theta_domain_error_exits_nonzero(self, capsys):
         code, _, err = run_cli(
@@ -303,3 +407,9 @@ class TestVerifyCommand:
 def test_render_table_rejects_unknown_format():
     with pytest.raises(ValueError):
         render_table("legendre", 1, 1, "yaml")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json", "latex"])
+def test_render_table_rejects_unknown_kind(fmt):
+    with pytest.raises(ValueError):
+        render_table("polynomials", 1, 1, fmt)

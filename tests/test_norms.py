@@ -1,10 +1,15 @@
 """Exact normalization integrals against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qsharm
 from qsharm.norms import MixedM, beta_moment, inner_product, norm_full, norm_theta
 from qsharm.numerics import HalfInt, PiScaled
 from qsharm.series import legendre_function
@@ -65,6 +70,20 @@ class TestBetaMoment:
             beta_moment(HalfInt(-1), 0)
         with pytest.raises(ValueError):
             beta_moment(HalfInt(0), -1)
+
+    def test_deep_moment_on_a_cold_start(self):
+        """M(1/2, 5000) in a fresh interpreter: no recursion limit, no cache to warm."""
+        script = (
+            "from fractions import Fraction\n"
+            "from math import factorial as f\n"
+            "from qsharm.norms import beta_moment\n"
+            "from qsharm.numerics import HalfInt, PiScaled\n"
+            "k = 5000\n"
+            "want = PiScaled(Fraction(f(2 * k), 2 * 4**k * f(k) * f(k + 1)), 1)\n"
+            "assert beta_moment(HalfInt(1), k) == want\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(qsharm.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
 
 
 class TestNormTheta:

@@ -9,10 +9,7 @@ from qsharm.numerics import (
     MixedPiDegree,
     PiScaled,
     halfint_from_string,
-    halfint_from_twice,
-    pi_scaled_add,
     pi_scaled_from_json,
-    pi_scaled_mul_rat,
     pi_scaled_to_json,
 )
 
@@ -20,7 +17,7 @@ from qsharm.numerics import (
 class TestHalfInt:
     @pytest.mark.parametrize("twice,text", [(3, "3/2"), (0, "0"), (-1, "-1/2"), (4, "2")])
     def test_from_twice(self, twice, text):
-        h = halfint_from_twice(twice)
+        h = HalfInt(twice)
         assert h.twice == twice
         assert str(h) == text
 
@@ -93,22 +90,22 @@ class TestBigRational:
 
 class TestPiScaled:
     def test_add_cancellation_canonicalizes_exponent(self):
-        total = pi_scaled_add(PiScaled(Fraction(1, 2), 1), PiScaled(Fraction(-1, 2), 1))
+        total = PiScaled(Fraction(1, 2), 1) + PiScaled(Fraction(-1, 2), 1)
         assert total == PiScaled(0, 0)
         assert total.pi_exponent == 0
 
     def test_add_rationals(self):
-        assert pi_scaled_add(PiScaled(2), PiScaled(Fraction(2, 3))) == PiScaled(Fraction(8, 3))
+        assert PiScaled(2) + PiScaled(Fraction(2, 3)) == PiScaled(Fraction(8, 3))
 
     def test_add_mixed_degree_raises(self):
         with pytest.raises(MixedPiDegree):
-            pi_scaled_add(PiScaled(Fraction(1, 2), 1), PiScaled(Fraction(1, 3), 0))
+            PiScaled(Fraction(1, 2), 1) + PiScaled(Fraction(1, 3), 0)
 
     def test_zero_is_identity_for_both_exponents(self):
         zero = PiScaled(0)
         for v in (PiScaled(Fraction(3, 4), 1), PiScaled(Fraction(-2, 5), 0)):
-            assert pi_scaled_add(zero, v) == v
-            assert pi_scaled_add(v, zero) == v
+            assert zero + v == v
+            assert v + zero == v
 
     @pytest.mark.parametrize(
         "value,scalar,expected",
@@ -119,7 +116,7 @@ class TestPiScaled:
         ],
     )
     def test_mul_rational(self, value, scalar, expected):
-        assert pi_scaled_mul_rat(value, scalar) == expected
+        assert value.mul_rational(scalar) == expected
 
     def test_add_commutative_associative(self):
         vals = [PiScaled(Fraction(n, 3), 1) for n in (-2, 1, 5)]

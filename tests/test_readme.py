@@ -1,4 +1,4 @@
-"""Every command line in the README's "Command line" block runs and exits 0."""
+"""The README's code blocks run: the "Library" Python block and every "Command line" line."""
 
 import re
 import shlex
@@ -6,15 +6,33 @@ from pathlib import Path
 
 import pytest
 
+import qsharm
 from qsharm.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def command_lines():
+def code_block(heading, lang):
     text = README.read_text(encoding="utf-8")
-    block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
+    return re.search(rf"## {heading}\n\n```{lang}\n(.*?)```", text, re.S).group(1)
+
+
+def command_lines():
+    block = code_block("Command line", "sh")
     return [line.split("#")[0].strip() for line in block.splitlines() if line.strip()]
+
+
+def test_library_block_runs():
+    exec(compile(code_block("Library", "python"), "README.md", "exec"), {})
+
+
+def test_library_imports_are_the_package_surface():
+    block = code_block("Library", "python")
+    imported = re.search(r"^from qsharm import (.+)$", block, re.M).group(1)
+    assert {name.strip() for name in imported.split(",")} <= set(qsharm.__all__)
+    for name in qsharm.__all__:
+        assert getattr(qsharm, name) is not None
+    assert callable(qsharm.run_suite)  # the benchmark calls qsharm.run_suite
 
 
 def test_block_is_found():
