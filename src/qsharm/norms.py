@@ -1,7 +1,16 @@
 """Exact normalization and inner-product integrals.
 
-Every integral here reduces to even moments of the weight (1-x^2)^|m|
-on [-1, 1]:
+The polynomial factor u of P = (1-x^2)^(|m|/2) u is, up to scale, the
+Gegenbauer polynomial C_i^(lambda) with lambda = |m| + 1/2, so the theta
+norm has a closed form (DLMF Table 18.3.1).  With i = l - |m| and a_i
+the leading coefficient of u, the Gamma(lambda)^2 and
+k_i = 2^i (lambda)_i / i! of DLMF's h_i cancel against a_i, leaving
+
+    integral of P^2 over [-1, 1] = a_i^2 (l-|m|)! (l+|m|)! c / ((2l+1) ((2l-1)!!)^2),
+
+c = 2 for integer |m| and pi for half-odd-integer |m|.  Inner products,
+and the ``norms`` suite's independent check of that formula, integrate
+term by term against the even moments
 
     M(m, k) = integral of x^(2k) (1-x^2)^|m| dx
 
@@ -21,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
+from math import factorial, prod
 from typing import Iterator, NamedTuple
 
 from .numerics import HalfInt, PiScaled
@@ -51,33 +61,29 @@ def beta_moment(m_abs: HalfInt, k: int) -> PiScaled:
     return PiScaled(next(islice(_moments_q(m_abs.twice), k, None)), m_abs.twice % 2)
 
 
-def _even_moment_sum(m_abs: HalfInt, product: list[Fraction]) -> PiScaled:
-    """Integrate a polynomial against the weight via its even coefficients.
-
-    Odd powers integrate to zero by symmetry, so only even coefficients
-    contribute; the moments run upward alongside them.
-    """
-    total = Fraction(0)
-    for c, q in zip(product[::2], _moments_q(m_abs.twice)):
-        if c:
-            total += c * q
-    return PiScaled(total, m_abs.twice % 2)
-
-
 def norm_theta(f: LegendreFunction) -> PiScaled:
     """Theta factor of the squared norm: integral of P^2 over [-1, 1]."""
-    return _even_moment_sum(f.m_abs, poly_mul(list(f.coeffs), list(f.coeffs)))
+    i, tm = f.degree, f.m_abs.twice
+    q = f.coeffs[i] ** 2 * factorial(i) * factorial(i + tm) * (2 - tm % 2)
+    return PiScaled(q / ((2 * i + tm + 1) * prod(range(tm + 2 * i - 1, 0, -2)) ** 2), tm % 2)
 
 
 def inner_product(f: LegendreFunction, g: LegendreFunction) -> PiScaled:
     """Exact integral of f*g over [-1, 1] for functions of equal order.
 
     Zero (exactly) when the polynomial degrees have opposite parity, and
-    for distinct degrees of equal parity by orthogonality.
+    for distinct degrees of equal parity by orthogonality.  Odd powers of
+    the product integrate to zero by symmetry, so only its even
+    coefficients meet the moments, which run upward alongside them.
     """
     if f.m_abs != g.m_abs:
         raise MixedM(f"orders differ: |m|={f.m_abs} vs |m|={g.m_abs}")
-    return _even_moment_sum(f.m_abs, poly_mul(list(f.coeffs), list(g.coeffs)))
+    product = poly_mul(list(f.coeffs), list(g.coeffs))
+    total = Fraction(0)
+    for c, q in zip(product[::2], _moments_q(f.m_abs.twice)):
+        if c:
+            total += c * q
+    return PiScaled(total, f.m_abs.twice % 2)
 
 
 class FullNorm(NamedTuple):

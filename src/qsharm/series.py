@@ -72,10 +72,11 @@ def poly_mul(a, b) -> list[Fraction]:
     if not a or not b:
         return []
     out = [Fraction(0)] * (len(a) + len(b) - 1)
+    nonzero_b = [(k, bk) for k, bk in enumerate(b) if bk]
     for j, aj in enumerate(a):
         if aj == 0:
             continue
-        for k, bk in enumerate(b):
+        for k, bk in nonzero_b:
             out[j + k] += aj * bk
     return out
 

@@ -10,6 +10,7 @@ none of its code path:
   leading coefficient, which must regenerate the upward coefficients
   exactly;
 * exact symbolic substitution into the defining equation;
+* the moment-sum integral of P^2, which must equal the closed-form norm;
 * golden reference tables, exact orthogonality, norm structure,
   floating-point finite differences and quadrature, and phi
   periodicity.
@@ -298,11 +299,10 @@ def _suite_orthogonality(two_l_max: int) -> list[CaseResult]:
     for two_m in range(two_l_max + 1):
         m_abs = HalfInt(two_m)
         i_top = (two_l_max - two_m) // 2
-        for i in range(i_top + 1):
+        family = [legendre_function(m_abs + HalfInt(2 * i), m_abs) for i in range(i_top + 1)]
+        for i, f in enumerate(family):
             for j in range(i + 1, i_top + 1):
-                f = legendre_function(m_abs + HalfInt(2 * i), m_abs)
-                g = legendre_function(m_abs + HalfInt(2 * j), m_abs)
-                value = inner_product(f, g)
+                value = inner_product(f, family[j])
                 ok = value.is_zero
                 desc = "exact zero" if ok else f"nonzero {value}"
                 cases.append(CaseResult(f"2m={two_m}/i={i}/j={j}", ok, desc))
@@ -324,6 +324,8 @@ def _suite_norms(two_l_max: int) -> list[CaseResult]:
             problems.append(f"phi factor {full.phi_factor}")
         if full.theta_factor != value:
             problems.append("full norm theta factor mismatch")
+        if inner_product(f, f) != value:
+            problems.append("closed form differs from the moment sum")
         ok = not problems
         desc = "structure ok" if ok else "; ".join(problems)
         cases.append(CaseResult(f"structure/2m={m_abs.twice}/i={i}", ok, desc))

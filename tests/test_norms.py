@@ -1,5 +1,6 @@
 """Exact normalization integrals against independent oracles."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -105,6 +106,27 @@ class TestNormTheta:
                 value = norm_theta(P(two_m + 2 * i, two_m))
                 assert value.q > 0
                 assert value.pi_exponent == two_m % 2
+
+    def test_closed_form_equals_moment_sum(self):
+        for two_m in range(0, 41):
+            for i in range(0, 21):
+                f = P(two_m + 2 * i, two_m)
+                assert norm_theta(f) == inner_product(f, f), (two_m, i)
+
+    @pytest.mark.parametrize("two_l,two_m", [(601, 1), (600, 0), (401, 201), (344, 0)])
+    def test_closed_form_equals_moment_sum_deep(self, two_l, two_m):
+        f = P(two_l, two_m)
+        assert norm_theta(f) == inner_product(f, f)
+
+    @pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (1, 1), (4, 2), (7, 0), (9, 5), (12, 12)])
+    def test_integer_order_textbook_norm(self, l, m):
+        """Scaled to a_i = (2l-1)!!/(l-m)!, the norm is 2(l+m)!/((2l+1)(l-m)!)."""
+        f = P(2 * l, 2 * m)
+        i = l - m
+        leading = Fraction(math.prod(range(2 * l - 1, 0, -2)), math.factorial(i))
+        scaled = dataclasses.replace(f, coeffs=tuple(c * leading / f.coeffs[i] for c in f.coeffs))
+        want = Fraction(2 * math.factorial(l + m), (2 * l + 1) * math.factorial(i))
+        assert norm_theta(scaled) == PiScaled(want)
 
 
 class TestInnerProduct:

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 import qsharm.golden as golden
-from qsharm.numerics import HalfInt
+import qsharm.norms as norms
+import qsharm.verify as verify
+from qsharm.numerics import HalfInt, PiScaled
 from qsharm.series import AllZero, InvalidPair, Normalization, legendre_function, series_coefficients
 from qsharm.verify import (
     NotProportional,
@@ -134,6 +136,21 @@ class TestRunSuite:
         assert report.fail_count == 1
         failing = [c for c in report.cases if not c.passed]
         assert failing[0].id == "legendre/2m=1/i=2"
+
+    def test_norms_oracle_detects_wrong_closed_form(self, monkeypatch):
+        """Only the moment-sum oracle sees a norm that is positive, has the right pi and feeds norm_full."""
+        right = norms.norm_theta
+
+        def wrong(f):
+            value = right(f)
+            return PiScaled(value.q * 2 if f.degree == 3 else value.q, value.pi_exponent)
+
+        monkeypatch.setattr(norms, "norm_theta", wrong)
+        monkeypatch.setattr(verify, "norm_theta", wrong)
+        report = run_suite("norms", 6)
+        failing = [c for c in report.cases if not c.passed]
+        assert [c.id for c in failing] == ["structure/2m=0/i=3"]
+        assert failing[0].residual == "closed form differs from the moment sum"
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
