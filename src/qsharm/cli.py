@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -298,9 +299,14 @@ def _cmd_verify(args) -> int:
     return 0 if report.fail_count == 0 else 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "table": _cmd_table,
         "eval": _cmd_eval,

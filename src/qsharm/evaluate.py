@@ -1,8 +1,9 @@
 """Floating-point evaluation of Theta, Phi and the full harmonic.
 
 Exactness is dropped only at this boundary: polynomial evaluation runs
-an exact rational Horner pass on the (exactly representable) float
-cos(theta), converts once, and applies a single power of sin(theta).
+an integer Horner pass on the numerator and denominator of the (exactly
+representable) float cos(theta), ends in one correctly rounded division,
+and applies a single power of sin(theta).
 Phi is exp(i*m*phi) with phi reduced modulo its period, which is 4*pi
 for half-odd-integer m (single-valued on the double circle) and 2*pi
 for integer m.
@@ -53,8 +54,7 @@ def eval_theta(f: LegendreFunction, theta: float) -> float:
     """Theta factor sin(theta)^|m| * poly(cos(theta)) at a point of [0, pi]."""
     if not 0.0 <= theta <= math.pi:
         raise DomainError(f"theta={theta} outside [0, pi]")
-    x = Fraction(math.cos(theta))
-    poly = float(poly_eval(list(f.coeffs), x))
+    poly = float(poly_eval(f.coeffs, math.cos(theta)))
     return math.sin(theta) ** (f.m_abs.twice / 2) * poly
 
 

@@ -20,9 +20,11 @@ computed by the exact Wallis-style reductions
     M(m, 0) = M(m-1, 0) * 2|m| / (2|m| + 1)
 
 from the bases M(0, 0) = 2 and M(1/2, 0) = pi/2, each run upward as one
-loop, so no result depends on recursion depth or on a cache.  Each
-moment and each norm is a rational number for integer |m| and a
-rational multiple of pi for half-odd-integer |m|; nothing is ever
+loop, so no result depends on recursion depth or on a cache.  The loop
+runs on integers: the moment sum keeps one running numerator over the
+product of the reduction denominators so far and divides once at the
+end.  Each moment and each norm is a rational number for integer |m|
+and a rational multiple of pi for half-odd-integer |m|; nothing is ever
 evaluated in floating point.
 """
 
@@ -34,22 +36,21 @@ from math import factorial, prod
 from typing import Iterator, NamedTuple
 
 from .numerics import HalfInt, PiScaled
-from .series import LegendreFunction, poly_mul
+from .series import LegendreFunction, _convolve, _numerators
 
 
 class MixedM(ValueError):
     """Inner product requested between functions of different order |m|."""
 
 
-def _moments_q(twice_m: int) -> Iterator[Fraction]:
-    """Rational parts of M(m, 0), M(m, 1), ...; the pi factor is twice_m's parity."""
+def _moment_steps(twice_m: int) -> Iterator[tuple[int, int]]:
+    """Integer pairs (n_k, d_k): M(m, k) = n_k / (d_0 d_1 ... d_k), times pi for odd twice_m."""
     num, den = (1, 2) if twice_m % 2 else (2, 1)
     for s in range(twice_m, 1, -2):
         num, den = num * s, den * (s + 1)
-    q = Fraction(num, den)
     for k in count(1):
-        yield q
-        q *= Fraction(2 * k - 1, twice_m + 2 * k + 1)
+        yield num, den
+        num, den = num * (2 * k - 1), twice_m + 2 * k + 1
 
 
 def beta_moment(m_abs: HalfInt, k: int) -> PiScaled:
@@ -58,7 +59,10 @@ def beta_moment(m_abs: HalfInt, k: int) -> PiScaled:
         raise ValueError("order must be non-negative")
     if k < 0:
         raise ValueError("moment index must be non-negative")
-    return PiScaled(next(islice(_moments_q(m_abs.twice), k, None)), m_abs.twice % 2)
+    total_den = 1
+    for num, den in islice(_moment_steps(m_abs.twice), k + 1):
+        total_den *= den
+    return PiScaled(Fraction(num, total_den), m_abs.twice % 2)
 
 
 def norm_theta(f: LegendreFunction) -> PiScaled:
@@ -78,12 +82,11 @@ def inner_product(f: LegendreFunction, g: LegendreFunction) -> PiScaled:
     """
     if f.m_abs != g.m_abs:
         raise MixedM(f"orders differ: |m|={f.m_abs} vs |m|={g.m_abs}")
-    product = poly_mul(list(f.coeffs), list(g.coeffs))
-    total = Fraction(0)
-    for c, q in zip(product[::2], _moments_q(f.m_abs.twice)):
-        if c:
-            total += c * q
-    return PiScaled(total, f.m_abs.twice % 2)
+    (a, da), (b, db) = _numerators(f.coeffs), _numerators(g.coeffs)
+    total, total_den = 0, da * db
+    for c, (num, den) in zip(_convolve(a, b)[::2], _moment_steps(f.m_abs.twice)):
+        total, total_den = total * den + c * num, total_den * den
+    return PiScaled(Fraction(total, total_den), f.m_abs.twice % 2)
 
 
 class FullNorm(NamedTuple):

@@ -12,7 +12,10 @@ lattice l = n/2 admits both integer and half-odd-integer quantum
 numbers; all arithmetic here is exact rational.
 
 Polynomials are dense coefficient lists, lowest power first, over
-``Fraction``.
+``Fraction``.  The kernels (Horner evaluation, multiplication and the
+coefficient recursion) run on integer numerators over one common
+denominator and divide once at the end, so no intermediate result pays
+for a gcd.
 """
 
 from __future__ import annotations
@@ -68,17 +71,33 @@ def poly_shift(a, k: int) -> list[Fraction]:
     return [Fraction(0)] * k + list(a)
 
 
-def poly_mul(a, b) -> list[Fraction]:
+def _numerators(a) -> tuple[list[int], int]:
+    """Integer numerators of a over the least common denominator of its entries."""
+    den = 1
+    for c in a:
+        if c.denominator != 1:  # pairwise: math.lcm(*...) grows the tuple free lists
+            den = math.lcm(den, c.denominator)
+    if den == 1:
+        return [c.numerator for c in a], 1
+    return [c.numerator * (den // c.denominator) for c in a], den
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Integer product coefficients of a and b, skipping zero entries."""
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     nonzero_b = [(k, bk) for k, bk in enumerate(b) if bk]
     for j, aj in enumerate(a):
-        if aj == 0:
-            continue
-        for k, bk in nonzero_b:
-            out[j + k] += aj * bk
+        if aj:
+            for k, bk in nonzero_b:
+                out[j + k] += aj * bk
     return out
+
+
+def poly_mul(a, b) -> list[Fraction]:
+    (a, da), (b, db) = _numerators(a), _numerators(b)
+    return [Fraction(c, da * db) for c in _convolve(a, b)]
 
 
 def poly_derivative(a) -> list[Fraction]:
@@ -86,10 +105,14 @@ def poly_derivative(a) -> list[Fraction]:
 
 
 def poly_eval(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+    """Exact value at x: integer Horner on n/d = x, one division at the end."""
+    n, d = Fraction(x).as_integer_ratio()
+    nums, den = _numerators(a)
+    acc, d_pow = 0, 1
+    for c in reversed(nums):
+        acc = acc * n + c * d_pow
+        d_pow *= d
+    return Fraction(acc, den * d_pow // d) if nums else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +186,19 @@ def build_system(m_abs: HalfInt, a_candidate: Fraction, size: int) -> Tridiagona
 # Series coefficients and normalization
 # ---------------------------------------------------------------------------
 
+def _scaled_series(tm: int, i: int, seed: int) -> list[int]:
+    """Integer a_0..a_i of the degree-i factor seeded with ``seed``; a remainder raises."""
+    coeffs = [0] * (i + 1)
+    start = i % 2
+    c = coeffs[start] = seed
+    for k in range(start, i - 1, 2):
+        c, r = divmod(-(i - k) * (tm + i + k + 1) * c, (k + 1) * (k + 2))
+        if r:
+            raise ArithmeticError(f"a_{k + 2} of 2|m|={tm}, i={i} is not integral")
+        coeffs[k + 2] = c
+    return coeffs
+
+
 def series_coefficients(m_abs: HalfInt, i: int) -> list[Fraction]:
     """Coefficients a_0..a_i of the degree-i polynomial factor, seed 1.
 
@@ -173,14 +209,8 @@ def series_coefficients(m_abs: HalfInt, i: int) -> list[Fraction]:
         raise ValueError("order must be non-negative")
     if i < 0:
         raise ValueError("degree must be non-negative")
-    tm = m_abs.twice  # 2|m|
-    coeffs = [Fraction(0)] * (i + 1)
-    start = i % 2
-    coeffs[start] = Fraction(1)
-    for k in range(start, i - 1, 2):
-        ratio = Fraction(-(i - k) * (tm + i + k + 1), (k + 1) * (k + 2))
-        coeffs[k + 2] = ratio * coeffs[k]
-    return coeffs
+    scale = family_scale(i)
+    return [Fraction(c, scale) for c in _scaled_series(m_abs.twice, i, scale)]
 
 
 def normalize_smallest_integers(coeffs) -> list[Fraction]:
@@ -250,11 +280,10 @@ def legendre_function(l: HalfInt, m: HalfInt) -> LegendreFunction:
     pair = QuantumPair(l=l, m=m)
     i = pair.degree
     m_abs = pair.m_abs
-    scale = family_scale(i)
-    coeffs = tuple(c * scale for c in series_coefficients(m_abs, i))
+    coeffs = _scaled_series(m_abs.twice, i, family_scale(i))
     return LegendreFunction(
         m_abs=m_abs,
         degree=i,
-        coeffs=coeffs,
+        coeffs=tuple(map(Fraction, coeffs)),
         normalization=Normalization.SMALLEST_INTEGERS,
     )

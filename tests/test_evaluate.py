@@ -1,6 +1,7 @@
 """Floating-point evaluation, residual checks and quadrature."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -261,3 +262,21 @@ class TestQuadratureNorm:
         e1 = abs(quadrature_norm(f, 512) - exact)
         e2 = abs(quadrature_norm(f, 1024) - exact)
         assert math.log2(e1 / e2) > 2.0
+
+
+@pytest.mark.parametrize(
+    "two_l,two_m",
+    [(25, 1), (25, 13), (24, 0), (24, 10), (101, 1), (101, 37), (100, 0), (100, 40),
+     (401, 1), (401, 145), (400, 0), (400, 200)],
+)
+def test_eval_theta_is_the_rounded_exact_horner_value(two_l, two_m):
+    f = P(two_l, two_m)
+    rng = random.Random(two_l * 1000 + two_m)
+    thetas = [0.0, math.pi / 2, math.pi] + [rng.uniform(0.0, math.pi) for _ in range(12)]
+    for theta in thetas:
+        x = Fraction(math.cos(theta))
+        acc = Fraction(0)
+        for c in reversed(f.coeffs):
+            acc = acc * x + c
+        want = math.sin(theta) ** (two_m / 2) * float(acc)
+        assert eval_theta(f, theta) == want

@@ -13,7 +13,8 @@ import pytest
 import qsharm
 from qsharm.norms import MixedM, beta_moment, inner_product, norm_full, norm_theta
 from qsharm.numerics import HalfInt, PiScaled
-from qsharm.series import legendre_function
+from qsharm.series import Normalization, legendre_function
+from qsharm.verify import recurrence_family
 
 
 def theta_quadrature_moment(two_m, k, n=20000):
@@ -184,3 +185,52 @@ def test_memoized_moments_are_reproducible():
     b = beta_moment(HalfInt(7), 9)
     assert a == b
     assert float(a) == float(b)
+
+
+def fraction_moments(two_m, count):
+    """Rational parts of M(m, 0..count-1), one Fraction step at a time."""
+    q = Fraction(1, 2) if two_m % 2 else Fraction(2)
+    for s in range(two_m, 1, -2):
+        q *= Fraction(s, s + 1)
+    out = [q]
+    for k in range(1, count):
+        out.append(out[-1] * Fraction(2 * k - 1, two_m + 2 * k + 1))
+    return out
+
+
+def fraction_inner_product(f, g):
+    a, b = list(f.coeffs), list(g.coeffs)
+    product = [Fraction(0)] * (len(a) + len(b) - 1)
+    for j, aj in enumerate(a):
+        for k, bk in enumerate(b):
+            product[j + k] += aj * bk
+    even = product[::2]
+    q = sum(c * m for c, m in zip(even, fraction_moments(f.m_abs.twice, len(even))))
+    return PiScaled(Fraction(q), f.m_abs.twice % 2)
+
+
+class TestIntegerMomentSum:
+    def test_moments_match_fraction_recursion(self):
+        for two_m in range(21):
+            want = fraction_moments(two_m, 31)
+            for k in range(31):
+                assert beta_moment(HalfInt(two_m), k) == PiScaled(want[k], two_m % 2)
+
+    def test_recurrence_seeded_members(self):
+        non_integer = 0
+        for two_m in range(21):
+            family = recurrence_family(HalfInt(two_m), HalfInt(two_m + 2 * 9))
+            assert family[0].normalization is Normalization.RECURRENCE_SEEDED
+            non_integer += sum(c.denominator != 1 for f in family for c in f.coeffs)
+            partners = family + [P(two_m + 2 * i, two_m) for i in range(10)]
+            for f in family:
+                for g in partners:
+                    assert inner_product(f, g) == fraction_inner_product(f, g)
+        assert non_integer > 0
+
+    def test_legendre_pairs_up_to_two_l_40(self):
+        for two_m in range(41):
+            family = [P(two_m + 2 * i, two_m) for i in range((40 - two_m) // 2 + 1)]
+            for i, f in enumerate(family):
+                for g in family[i:]:
+                    assert inner_product(f, g) == fraction_inner_product(f, g)

@@ -1,5 +1,6 @@
 """Series construction: eigenvalues, tridiagonal system, coefficients."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,11 @@ from qsharm.series import (
     build_system,
     eigenvalue,
     family_scale,
+    _scaled_series,
     legendre_function,
     normalize_smallest_integers,
+    poly_eval,
+    poly_mul,
     series_coefficients,
 )
 
@@ -195,3 +199,107 @@ class TestLegendreFunction:
         assert f.degree == 100
         assert all(c.denominator == 1 for c in f.coeffs)
         assert f.coeffs[100] != 0
+
+
+def fraction_horner(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + Fraction(c)
+    return acc
+
+
+def fraction_product(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for j, aj in enumerate(a):
+        for k, bk in enumerate(b):
+            out[j + k] += Fraction(aj) * Fraction(bk)
+    return out
+
+
+def seeded_polys(seed, count=60):
+    """Lists of non-integer Fractions, ints and zeros, the empty list first."""
+    rng = random.Random(seed)
+    polys = [[]]
+    for _ in range(count):
+        poly = []
+        for _ in range(rng.randint(1, 14)):
+            kind = rng.random()
+            if kind < 0.2:
+                poly.append(0)
+            elif kind < 0.4:
+                poly.append(rng.randint(-10**30, 10**30))
+            else:
+                poly.append(Fraction(rng.randint(-999, 999), rng.randint(1, 97)))
+        polys.append(poly)
+    return polys
+
+
+# Dyadic points (every float is one) and non-dyadic ones.
+KERNEL_POINTS = [
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 8),
+    Fraction(0.7390851332151607), Fraction(1, 3), Fraction(-22, 7), Fraction(10**20 + 1, 3**40), 5,
+]
+
+
+class TestPolyKernels:
+    def test_eval_matches_fraction_horner(self):
+        polys = seeded_polys(11)
+        assert any(isinstance(c, Fraction) and c.denominator != 1 for p in polys for c in p)
+        for poly in polys:
+            for x in KERNEL_POINTS:
+                got = poly_eval(poly, x)
+                assert type(got) is Fraction
+                assert got == fraction_horner(poly, x)
+
+    def test_eval_of_empty_list_is_zero(self):
+        assert poly_eval([], Fraction(1, 3)) == 0
+        assert type(poly_eval([], 0.5)) is Fraction
+
+    def test_float_point_is_evaluated_exactly(self):
+        # Regression: a float x used to turn the Horner pass into float
+        # arithmetic (1.5, not 3/2) and overflow on large coefficients.
+        got = poly_eval([1, 1], 0.5)
+        assert type(got) is Fraction and got == Fraction(3, 2)
+        assert poly_eval([10**400, 1], 0.5) == 10**400 + Fraction(1, 2)
+        x = 0.7390851332151607
+        assert poly_eval([Fraction(1, 3), 0, -7], x) == fraction_horner([Fraction(1, 3), 0, -7], Fraction(x))
+
+    def test_mul_matches_fraction_convolution(self):
+        polys = seeded_polys(12, count=30)
+        for a in polys:
+            for b in polys[:12]:
+                got = poly_mul(a, b)
+                assert got == fraction_product(a, b)
+                assert all(type(c) is Fraction for c in got)
+
+
+class TestIntegerRecursion:
+    def test_legendre_is_family_scale_times_series_over_lattice(self):
+        for m_abs, i in lattice(60):
+            f = legendre_function(m_abs + HalfInt(2 * i), m_abs)
+            want = [family_scale(i) * c for c in series_coefficients(m_abs, i)]
+            assert list(f.coeffs) == want
+            assert all(type(c) is Fraction for c in f.coeffs)
+
+    @pytest.mark.parametrize("two_l,two_m", [(401, 1), (400, 0)])
+    def test_legendre_is_family_scale_times_series_deep(self, two_l, two_m):
+        m_abs = HalfInt(two_m)
+        i = (two_l - two_m) // 2
+        f = legendre_function(HalfInt(two_l), m_abs)
+        assert list(f.coeffs) == [family_scale(i) * c for c in series_coefficients(m_abs, i)]
+
+    def test_series_matches_fraction_recursion(self):
+        for m_abs, i in lattice(40):
+            tm = m_abs.twice
+            want = [Fraction(0)] * (i + 1)
+            want[i % 2] = Fraction(1)
+            for k in range(i % 2, i - 1, 2):
+                want[k + 2] = Fraction(-(i - k) * (tm + i + k + 1), (k + 1) * (k + 2)) * want[k]
+            assert series_coefficients(m_abs, i) == want
+
+    def test_remainder_raises(self):
+        # Seeded with 1, the degree-3 factor of |m| = 0 needs a_3 = -5/3.
+        with pytest.raises(ArithmeticError):
+            _scaled_series(0, 3, 1)
