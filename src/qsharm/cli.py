@@ -89,20 +89,17 @@ def _latex_halfint(h: HalfInt) -> str:
     return f"\\frac{{{h.twice}}}{{2}}"
 
 
-def legendre_from_record(record: dict) -> LegendreFunction:
-    """Exact reconstruction of a table entry from its JSON record."""
-    return LegendreFunction(
-        m_abs=HalfInt(int(record["two_m"])),
-        degree=int(record["i"]),
-        coeffs=tuple(Fraction(s) for s in record["coeffs"]),
-        normalization=Normalization.SMALLEST_INTEGERS,
-    )
-
-
 def parse_table_json(text: str) -> list[LegendreFunction]:
-    """Parse a `table legendre --format json` document back into functions."""
-    doc = json.loads(text)
-    return [legendre_from_record(rec) for rec in doc["entries"]]
+    """Parse a `table legendre --format json` document back into exact functions."""
+    return [
+        LegendreFunction(
+            m_abs=HalfInt(int(rec["two_m"])),
+            degree=int(rec["i"]),
+            coeffs=tuple(Fraction(s) for s in rec["coeffs"]),
+            normalization=Normalization.SMALLEST_INTEGERS,
+        )
+        for rec in json.loads(text)["entries"]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +312,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (InvalidPair, DomainError, ValueError) as exc:
+    except (InvalidPair, DomainError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -25,14 +25,10 @@ from .numerics import HalfInt, PiScaled
 from .series import (
     LegendreFunction,
     QuantumPair,
+    _numerators,
     eigenvalue,
     legendre_function,
-    poly_add,
-    poly_derivative,
     poly_eval,
-    poly_scale,
-    poly_shift,
-    poly_sub,
     poly_trim,
 )
 
@@ -119,27 +115,26 @@ def ode_residual_exact(f: LegendreFunction) -> list[Fraction]:
         (1-x^2) u'' - 2(|m|+1) x u' + [A - |m|(|m|+1)] u
 
     with A = eigenvalue(|m|, degree) and returns the residual polynomial
-    (trimmed; correctly constructed functions give []).
+    (trimmed; correctly constructed functions give []).  It substitutes
+    term by term on the integer numerators u_k of u over their common
+    denominator D: with t = 2|m| and the integer s = 4A - t(t+2),
+    coefficient k of the residual is
+
+        [4(k+2)(k+1) u_{k+2} - (4k(k+t+1) - s) u_k] / (4D).
     """
-    u = list(f.coeffs)
+    u, den = _numerators(f.coeffs)
     tm = f.m_abs.twice
-    du = poly_derivative(u)
-    d2u = poly_derivative(du)
-    a_shift = eigenvalue(f.m_abs, f.degree) - Fraction(tm * (tm + 2), 4)
-    residual = poly_sub(d2u, poly_shift(d2u, 2))                 # (1-x^2) u''
-    residual = poly_sub(residual, poly_scale(poly_shift(du, 1), tm + 2))
-    residual = poly_add(residual, poly_scale(u, a_shift))
-    return poly_trim(residual)
+    s = int(4 * eigenvalue(f.m_abs, f.degree)) - tm * (tm + 2)
+    u += [0, 0]
+    return poly_trim([
+        Fraction(4 * (k + 2) * (k + 1) * u[k + 2] - (4 * k * (k + tm + 1) - s) * u[k], 4 * den)
+        for k in range(len(u) - 2)
+    ])
 
 
-def ode_residual_numeric(h: QuasiHarmonic, theta: float, step: float) -> float:
-    """Central-difference residual of the theta equation at one angle.
-
-    Checks Theta'' + cot(theta) Theta' + [A - m^2/sin^2(theta)] Theta,
-    which is O(step^2) times the local derivative scale for a true
-    eigenfunction.  Angles within ENDPOINT_EXCLUSION_STEPS * step of the
-    interval ends are rejected: half-odd-integer gradients diverge there.
-    """
+def _ode_stencil(h: QuasiHarmonic, theta: float,
+                 step: float) -> tuple[float, tuple[float, float, float]]:
+    """ode_residual_numeric at one angle, with the three Theta values it used."""
     if step <= 0:
         raise ValueError("step must be positive")
     margin = ENDPOINT_EXCLUSION_STEPS * step
@@ -156,7 +151,19 @@ def ode_residual_numeric(h: QuasiHarmonic, theta: float, step: float) -> float:
     a_val = float(eigenvalue(f.m_abs, f.degree))
     m_sq = (h.pair.m.twice / 2) ** 2
     s = math.sin(theta)
-    return d2 + (math.cos(theta) / s) * d1 + (a_val - m_sq / (s * s)) * t_mid
+    residual = d2 + (math.cos(theta) / s) * d1 + (a_val - m_sq / (s * s)) * t_mid
+    return residual, (t_minus, t_mid, t_plus)
+
+
+def ode_residual_numeric(h: QuasiHarmonic, theta: float, step: float) -> float:
+    """Central-difference residual of the theta equation at one angle.
+
+    Checks Theta'' + cot(theta) Theta' + [A - m^2/sin^2(theta)] Theta,
+    which is O(step^2) times the local derivative scale for a true
+    eigenfunction.  Angles within ENDPOINT_EXCLUSION_STEPS * step of the
+    interval ends are rejected: half-odd-integer gradients diverge there.
+    """
+    return _ode_stencil(h, theta, step)[0]
 
 
 def quadrature_norm(f: LegendreFunction, nodes: int) -> float:

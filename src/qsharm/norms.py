@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count, islice
 from math import factorial, prod
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .numerics import HalfInt, PiScaled
 from .series import LegendreFunction, _convolve, _numerators
@@ -89,18 +89,6 @@ def inner_product(f: LegendreFunction, g: LegendreFunction) -> PiScaled:
     return PiScaled(Fraction(total, total_den), f.m_abs.twice % 2)
 
 
-class FullNorm(NamedTuple):
-    """Squared norm N^2 of Y = Theta * Phi, kept as separate factors.
-
-    The product would need a pi^2 term for half-odd-integer |m|, so the
-    phi factor (2*pi, or 4*pi on the doubled phi range) and the theta
-    factor are reported side by side.
-    """
-
-    phi_factor: PiScaled
-    theta_factor: PiScaled
-
-
 def phi_factor_over_pi(m: HalfInt, phi_range: str) -> int:
     """Length of the phi normalization range, in units of pi.
 
@@ -110,9 +98,3 @@ def phi_factor_over_pi(m: HalfInt, phi_range: str) -> int:
     if phi_range not in ("2pi", "4pi"):
         raise ValueError(f"phi_range must be '2pi' or '4pi', got {phi_range!r}")
     return 4 if phi_range == "4pi" and m.is_half_odd else 2
-
-
-def norm_full(f: LegendreFunction, phi_range: str = "2pi") -> FullNorm:
-    """Full squared norm of the harmonic built on f; |Phi|^2 gives phi_factor_over_pi * pi."""
-    phi_factor = PiScaled(phi_factor_over_pi(f.m_abs, phi_range), 1)
-    return FullNorm(phi_factor=phi_factor, theta_factor=norm_theta(f))

@@ -1,26 +1,22 @@
 """Exact scalar types: half-integer quantum numbers and pi-scaled rationals.
 
 Everything in this package that is not explicitly a floating-point
-evaluation runs on three exact scalar kinds:
+evaluation runs on the stdlib ``fractions.Fraction`` and two exact
+scalar kinds of its own:
 
-* ``HalfInt``     -- a number n/2 stored as the integer n, so both integer
-                     and half-odd-integer quantum numbers have exact
-                     equality, ordering and hashing.
-* ``BigRational`` -- arbitrary-precision rationals.  This is the stdlib
-                     ``fractions.Fraction``, which already guarantees
-                     lowest terms, a positive denominator and 0 == 0/1.
-* ``PiScaled``    -- an exact value q * pi**e with rational q and
-                     e in {0, 1}, the codomain of the normalization
-                     integrals (rational for integer order, rational
-                     times pi for half-odd-integer order).
+* ``HalfInt``  -- a number n/2 stored as the integer n, so both integer
+                  and half-odd-integer quantum numbers have exact
+                  equality, ordering and hashing.
+* ``PiScaled`` -- an exact value q * pi**e with rational q and
+                  e in {0, 1}, the codomain of the normalization
+                  integrals (rational for integer order, rational
+                  times pi for half-odd-integer order).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-
-BigRational = Fraction
 
 
 class MixedPiDegree(ValueError):

@@ -48,29 +48,6 @@ def poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
     return list(coeffs[:n])
 
 
-def poly_add(a, b) -> list[Fraction]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, c in enumerate(b):
-        out[k] += c
-    return out
-
-
-def poly_sub(a, b) -> list[Fraction]:
-    return poly_add(a, [-c for c in b])
-
-
-def poly_scale(a, s) -> list[Fraction]:
-    s = Fraction(s)
-    return [c * s for c in a]
-
-
-def poly_shift(a, k: int) -> list[Fraction]:
-    """Multiply by x**k."""
-    return [Fraction(0)] * k + list(a)
-
-
 def _numerators(a) -> tuple[list[int], int]:
     """Integer numerators of a over the least common denominator of its entries."""
     den = 1
@@ -98,10 +75,6 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 def poly_mul(a, b) -> list[Fraction]:
     (a, da), (b, db) = _numerators(a), _numerators(b)
     return [Fraction(c, da * db) for c in _convolve(a, b)]
-
-
-def poly_derivative(a) -> list[Fraction]:
-    return [Fraction(k) * c for k, c in enumerate(a)][1:]
 
 
 def poly_eval(a, x: Fraction) -> Fraction:

@@ -32,13 +32,12 @@ from typing import Iterator
 from . import golden
 from .evaluate import (
     QuasiHarmonic,
+    _ode_stencil,
     eval_phi,
-    eval_theta,
     ode_residual_exact,
-    ode_residual_numeric,
 )
-from .norms import beta_moment, inner_product, norm_full, norm_theta
-from .numerics import HalfInt, PiScaled
+from .norms import beta_moment, inner_product, norm_theta
+from .numerics import HalfInt
 from .series import (
     AllZero,
     InvalidPair,
@@ -246,14 +245,9 @@ def _suite_ode_numeric(two_l_max: int) -> list[CaseResult]:
         worst_tol = 0.0
         ok = True
         for theta in _NUMERIC_THETAS:
-            r = abs(ode_residual_numeric(h, theta, _NUMERIC_STEP))
-            local = max(
-                1.0,
-                abs(eval_theta(h.theta_part, theta - _NUMERIC_STEP)),
-                abs(eval_theta(h.theta_part, theta)),
-                abs(eval_theta(h.theta_part, theta + _NUMERIC_STEP)),
-            )
-            tol = 1e-6 * (1.0 + a_val) ** 2 * local
+            r, values = _ode_stencil(h, theta, _NUMERIC_STEP)
+            r = abs(r)
+            tol = 1e-6 * (1.0 + a_val) ** 2 * max(1.0, *map(abs, values))
             if r > worst:
                 worst, worst_tol = r, tol
             if r > tol:
@@ -314,16 +308,11 @@ def _suite_norms(two_l_max: int) -> list[CaseResult]:
     for m_abs, i in lattice(two_l_max):
         f = legendre_function(m_abs + HalfInt(2 * i), m_abs)
         value = norm_theta(f)
-        full = norm_full(f)
         problems = []
         if value.pi_exponent != m_abs.twice % 2:
             problems.append(f"pi exponent {value.pi_exponent}")
         if not value.q > 0:
             problems.append(f"non-positive {value}")
-        if full.phi_factor != PiScaled(2, 1):
-            problems.append(f"phi factor {full.phi_factor}")
-        if full.theta_factor != value:
-            problems.append("full norm theta factor mismatch")
         if inner_product(f, f) != value:
             problems.append("closed form differs from the moment sum")
         ok = not problems

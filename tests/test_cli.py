@@ -123,6 +123,12 @@ class TestTableCommand:
         assert code == 0 and out == ""
         assert target.read_text().startswith("two_m,i,coeffs")
 
+    @pytest.mark.parametrize("where", ["missing/table.txt", "."])
+    def test_unwritable_out_is_one_line_error(self, capsys, tmp_path, where):
+        code, out, err = run_cli(capsys, "table", "legendre", "--out", str(tmp_path / where))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_negative_bounds_fail(self, capsys):
         code, _, err = run_cli(capsys, "table", "legendre", "--two-m-max", "-1")
         assert code == 1
@@ -361,6 +367,15 @@ class TestSampleCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize("where", ["missing/grid.csv", "."])
+    def test_unwritable_out_is_one_line_error(self, capsys, tmp_path, where):
+        code, out, err = run_cli(
+            capsys, "sample", "--two-l", "1", "--two-m", "1", "--n-theta", "3", "--n-phi", "3",
+            "--out", str(tmp_path / where),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_too_few_samples_rejected(self, capsys):
         code, _, err = run_cli(

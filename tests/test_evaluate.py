@@ -1,5 +1,6 @@
 """Floating-point evaluation, residual checks and quadrature."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,14 @@ from qsharm.evaluate import (
 )
 from qsharm.norms import norm_theta
 from qsharm.numerics import HalfInt, PiScaled
-from qsharm.series import LegendreFunction, Normalization, QuantumPair, legendre_function
+from qsharm.series import (
+    LegendreFunction,
+    Normalization,
+    QuantumPair,
+    eigenvalue,
+    legendre_function,
+)
+from qsharm.verify import recurrence_family
 
 
 def P(two_l, two_m):
@@ -195,6 +203,45 @@ class TestOdeResidualExact:
         for m_abs, i in lattice(25):
             f = legendre_function(m_abs + HalfInt(2 * i), m_abs)
             assert ode_residual_exact(f) == []
+
+    @staticmethod
+    def reference(f):
+        """(1-x^2) u'' - (2|m|+2) x u' + [A - |m|(|m|+1)] u on Fraction lists, then trimmed."""
+        u = [Fraction(c) for c in f.coeffs]
+        n, tm = len(u), f.m_abs.twice
+        du = [k * u[k] for k in range(1, n)]
+        d2u = [k * du[k] for k in range(1, len(du))]
+        shift = eigenvalue(f.m_abs, f.degree) - Fraction(tm * (tm + 2), 4)
+        out = [Fraction(0)] * (n + 2)
+        for k, c in enumerate(d2u):
+            out[k] += c
+            out[k + 2] -= c
+        for k, c in enumerate(du):
+            out[k + 1] -= (tm + 2) * c
+        for k, c in enumerate(u):
+            out[k] += shift * c
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def test_matches_fraction_substitution(self):
+        rng = random.Random(17)
+        inputs = []
+        for m_abs, i in lattice(30):
+            f = legendre_function(m_abs + HalfInt(2 * i), m_abs)
+            coeffs = list(f.coeffs)
+            coeffs[rng.randrange(len(coeffs))] += Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            inputs += [f, dataclasses.replace(f, coeffs=tuple(coeffs))]
+        for two_m in range(12):
+            inputs += recurrence_family(HalfInt(two_m), HalfInt(two_m + 16))
+        assert any(f.normalization is Normalization.RECURRENCE_SEEDED
+                   and any(c.denominator != 1 for c in f.coeffs) for f in inputs)
+        nonzero = 0
+        for f in inputs:
+            got = ode_residual_exact(f)
+            assert got == self.reference(f), f
+            nonzero += got != []
+        assert nonzero > 100
 
 
 class TestOdeResidualNumeric:

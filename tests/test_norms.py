@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qsharm
-from qsharm.norms import MixedM, beta_moment, inner_product, norm_full, norm_theta
+from qsharm.norms import MixedM, beta_moment, inner_product, norm_theta, phi_factor_over_pi
 from qsharm.numerics import HalfInt, PiScaled
 from qsharm.series import Normalization, legendre_function
 from qsharm.verify import recurrence_family
@@ -157,27 +157,33 @@ class TestInnerProduct:
                     assert inner_product(funcs[i], funcs[j]).is_zero
 
 
+def phi_factor(f, phi_range="2pi"):
+    return PiScaled(phi_factor_over_pi(f.m_abs, phi_range), 1)
+
+
 class TestNormFull:
+    """Squared norm of Y = Theta * Phi: phi factor times norm_theta."""
+
     def test_examples(self):
-        full = norm_full(P(0, 0))
-        assert full.phi_factor == PiScaled(2, 1)
-        assert full.theta_factor == PiScaled(2)
+        f = P(0, 0)
+        assert phi_factor(f) == PiScaled(2, 1)
+        assert norm_theta(f) == PiScaled(2)
 
-        full = norm_full(P(1, 1))
-        assert full.phi_factor == PiScaled(2, 1)
-        assert full.theta_factor == PiScaled(Fraction(1, 2), 1)
+        f = P(1, 1)
+        assert phi_factor(f) == PiScaled(2, 1)
+        assert norm_theta(f) == PiScaled(Fraction(1, 2), 1)
 
-        full = norm_full(P(2, 0))
-        assert full.phi_factor == PiScaled(2, 1)
-        assert full.theta_factor == PiScaled(Fraction(2, 3))
+        f = P(2, 0)
+        assert phi_factor(f) == PiScaled(2, 1)
+        assert norm_theta(f) == PiScaled(Fraction(2, 3))
 
     def test_doubled_range_only_affects_half_odd_orders(self):
-        assert norm_full(P(1, 1), phi_range="4pi").phi_factor == PiScaled(4, 1)
-        assert norm_full(P(2, 0), phi_range="4pi").phi_factor == PiScaled(2, 1)
+        assert phi_factor(P(1, 1), phi_range="4pi") == PiScaled(4, 1)
+        assert phi_factor(P(2, 0), phi_range="4pi") == PiScaled(2, 1)
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
-            norm_full(P(0, 0), phi_range="6pi")
+            phi_factor(P(0, 0), phi_range="6pi")
 
 
 def test_memoized_moments_are_reproducible():

@@ -1,13 +1,19 @@
 """Oracles and suite runner: recurrence family, proportionality, reports."""
 
+import contextlib
+import hashlib
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+import qsharm.evaluate as evaluate
 import qsharm.golden as golden
 import qsharm.norms as norms
 import qsharm.verify as verify
+from qsharm.cli import main
 from qsharm.numerics import HalfInt, PiScaled
 from qsharm.series import AllZero, InvalidPair, Normalization, legendre_function, series_coefficients
 from qsharm.verify import (
@@ -138,7 +144,7 @@ class TestRunSuite:
         assert failing[0].id == "legendre/2m=1/i=2"
 
     def test_norms_oracle_detects_wrong_closed_form(self, monkeypatch):
-        """Only the moment-sum oracle sees a norm that is positive, has the right pi and feeds norm_full."""
+        """Only the moment-sum oracle sees a norm that is positive and has the right pi."""
         right = norms.norm_theta
 
         def wrong(f):
@@ -152,6 +158,21 @@ class TestRunSuite:
         assert [c.id for c in failing] == ["structure/2m=0/i=3"]
         assert failing[0].residual == "closed form differs from the moment sum"
 
+    def test_ode_numeric_evaluates_each_stencil_point_once(self, monkeypatch):
+        calls = []
+        original = evaluate.eval_theta
+
+        def counting(f, theta):
+            calls.append(theta)
+            return original(f, theta)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qsharm" and getattr(module, "eval_theta", None) is original:
+                monkeypatch.setattr(module, "eval_theta", counting)
+        report = run_suite("ode-numeric", 6)
+        assert report.fail_count == 0
+        assert len(calls) == 15 * len(report.cases)  # 5 angles x 3 stencil points
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suite("bogus", 25)
@@ -164,3 +185,37 @@ class TestRunSuite:
         report = run_suite("tables", 0)
         assert len(report.cases) == 2
         assert report.fail_count == 0
+
+
+# SHA-256 of run_suite(suite, 12).to_json() and of `qsharm verify <suite>
+# --two-l-max 12` text output, as written before the ODE oracle ran on
+# integer numerators: not a byte of either report may change.
+@pytest.mark.parametrize("suite, json_digest, text_digest", [
+    ("tables",
+     "cc2effb369b7cb6fbc442c23c0d5372e31b4394f5e0c685ab913de7edc83979f",
+     "4031c3ffe7b78469d83a6c1e81115e696241731bad391b888c04578aebcef123"),
+    ("ode-exact",
+     "a1c9b42860eb3e8cd4dbd3cb85e712c2d54e5ec0e59b9d0faf22423e20d3381b",
+     "a045743784c07de951d28b355d4bdbb153fc42569c405740dc28a0ff379e9ad4"),
+    ("ode-numeric",
+     "d5b253c2c186418d497858f1bb3c00bc96656e20287231bb501bf03262105e26",
+     "95893fb70c4f5e18b7e3fc5e90d6a36911affdf525b8c053ff9c9ae537e3e94f"),
+    ("recurrence",
+     "8597994cde77196b7d4bf9e5fb0b8a996dde819f9b5d4ede72730281add524b7",
+     "a26776a2b72584ea041084feef318eab7598d8ec0eb03fae1ce144fa1cd779a4"),
+    ("orthogonality",
+     "ffd6f8e3c755f1bd0ae163efb5abc68616d9884c36c34995b514e943574fab97",
+     "cedf62b3104abb9409e6d2459c44d9c836468ef7b258fd03b185be7f9e765bd6"),
+    ("norms",
+     "2b4a840ccbcab72961fe464414dc97c2f6bd1ed457819d371d27656b6eed40ea",
+     "9c676634ee1d278cd866e15ae72e4bc65b0866d0d0822e99bdd2cdb8748c499d"),
+    ("periodicity",
+     "4519f436763e8f176d7ba0e7efd983d9d0d32024020b14e6b74216427d6f7116",
+     "4875e974868a5919f0b17895b24fd3050a1c24056b919f5123e4e9e35355c5a4"),
+])
+def test_report_bytes_pinned(suite, json_digest, text_digest):
+    assert hashlib.sha256(run_suite(suite, 12).to_json().encode()).hexdigest() == json_digest
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", suite, "--two-l-max", "12"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == text_digest
