@@ -19,13 +19,9 @@ from fractions import Fraction
 
 from .evaluate import DomainError, eval_grid, eval_harmonic, harmonic, phi_period
 from .norms import norm_theta
-from .numerics import HalfInt, PiScaled, halfint_from_string, pi_scaled_to_json
-from .series import (
-    InvalidPair,
-    LegendreFunction,
-    Normalization,
-    legendre_function,
-)
+from .numerics import (HalfInt, format_halfint, format_pi_scaled, halfint_from_string,
+                       pi_scaled_to_json)
+from .series import InvalidPair, LegendreFunction, legendre_function
 from .verify import SUITE_NAMES, run_suite
 
 # ---------------------------------------------------------------------------
@@ -69,26 +65,6 @@ def format_factor(m_abs: HalfInt, exponent) -> str:
     return "(1-x^2)" if e == 1 else f"(1-x^2){exponent(e)}"
 
 
-def format_pi_scaled_latex(v: PiScaled) -> str:
-    if v.is_zero:
-        return "0"
-    sign = "-" if v.q < 0 else ""
-    num, den = abs(v.q.numerator), v.q.denominator
-    if v.pi_exponent == 0:
-        head = str(num)
-    else:
-        head = "\\pi" if num == 1 else f"{num}\\pi"
-    if den == 1:
-        return f"{sign}{head}"
-    return f"{sign}\\frac{{{head}}}{{{den}}}"
-
-
-def _latex_halfint(h: HalfInt) -> str:
-    if h.is_integer:
-        return str(h.twice // 2)
-    return f"\\frac{{{h.twice}}}{{2}}"
-
-
 def parse_table_json(text: str) -> list[LegendreFunction]:
     """Parse a `table legendre --format json` document back into exact functions."""
     return [
@@ -96,7 +72,6 @@ def parse_table_json(text: str) -> list[LegendreFunction]:
             m_abs=HalfInt(int(rec["two_m"])),
             degree=int(rec["i"]),
             coeffs=tuple(Fraction(s) for s in rec["coeffs"]),
-            normalization=Normalization.SMALLEST_INTEGERS,
         )
         for rec in json.loads(text)["entries"]
     ]
@@ -107,9 +82,11 @@ def parse_table_json(text: str) -> list[LegendreFunction]:
 # ---------------------------------------------------------------------------
 
 # Cell formatters of the symbolic formats: |m| label, exponent, norm.
+_LATEX_FRAC = "\\frac{{{}}}{{{}}}"
 _CELL_FORMATS = {
     "text": (str, text_exponent, str),
-    "latex": (_latex_halfint, latex_exponent, format_pi_scaled_latex),
+    "latex": (functools.partial(format_halfint, frac=_LATEX_FRAC), latex_exponent,
+              functools.partial(format_pi_scaled, pi="\\pi", frac=_LATEX_FRAC)),
 }
 
 
@@ -302,8 +279,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _is_negative_number(token: str) -> bool:
+    for parse in (float, halfint_from_string):
+        try:
+            parse(token)
+            return token.startswith("-")
+        except ValueError:
+            pass
+    return False
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join "--phi -1e-05" as "--phi=-1e-05"; argparse reads only -3 and -.5 as values."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--theta", "--phi", "--l", "--m") and _is_negative_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_attach_negative_values(argv))
     handler = {
         "table": _cmd_table,
         "eval": _cmd_eval,

@@ -10,22 +10,19 @@ scalar kinds of its own:
 * ``PiScaled`` -- an exact value q * pi**e with rational q and
                   e in {0, 1}, the codomain of the normalization
                   integrals (rational for integer order, rational
-                  times pi for half-odd-integer order).
+                  times pi for half-odd-integer order).  It holds,
+                  compares and converts a value; it does no arithmetic.
+
+``format_halfint`` and ``format_pi_scaled`` render both kinds; their
+defaults give the text form (``str``) and the table renderer binds the
+LaTeX spellings.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import total_ordering
-
-
-class MixedPiDegree(ValueError):
-    """Sum of two PiScaled values with different pi exponents.
-
-    This is an internal-logic error: integrals carrying a bare rational
-    (integer order) and integrals carrying a rational multiple of pi
-    (half-odd-integer order) must never be added together.
-    """
 
 
 @total_ordering
@@ -91,20 +88,8 @@ class HalfInt:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "HalfInt":
-        if isinstance(other, (HalfInt, int)):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other) -> "HalfInt":
-        if isinstance(other, int):
-            return HalfInt(2 * other - self.twice)
-        return NotImplemented
-
     def __str__(self) -> str:
-        if self.is_integer:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+        return format_halfint(self)
 
     def __repr__(self) -> str:
         return f"HalfInt({self.twice})"
@@ -156,50 +141,12 @@ class PiScaled:
     def __hash__(self) -> int:
         return hash((self.q, self.pi_exponent))
 
-    def __add__(self, other) -> "PiScaled":
-        if not isinstance(other, PiScaled):
-            return NotImplemented
-        if self.is_zero:
-            return PiScaled(other.q, other.pi_exponent)
-        if other.is_zero:
-            return PiScaled(self.q, self.pi_exponent)
-        if self.pi_exponent != other.pi_exponent:
-            raise MixedPiDegree(
-                f"cannot add {self} (pi^{self.pi_exponent}) "
-                f"and {other} (pi^{other.pi_exponent})"
-            )
-        return PiScaled(self.q + other.q, self.pi_exponent)
-
-    def __neg__(self) -> "PiScaled":
-        return PiScaled(-self.q, self.pi_exponent)
-
-    def __sub__(self, other) -> "PiScaled":
-        if not isinstance(other, PiScaled):
-            return NotImplemented
-        return self + (-other)
-
-    def mul_rational(self, r) -> "PiScaled":
-        return PiScaled(self.q * Fraction(r), self.pi_exponent)
-
     def __float__(self) -> float:
-        import math
-
         value = self.q.numerator / self.q.denominator
         return value * math.pi if self.pi_exponent else value
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        if self.pi_exponent == 0:
-            return str(self.q)
-        num, den = self.q.numerator, self.q.denominator
-        if num == 1:
-            head = "π"
-        elif num == -1:
-            head = "-π"
-        else:
-            head = f"{num}π"
-        return head if den == 1 else f"{head}/{den}"
+        return format_pi_scaled(self)
 
     def __repr__(self) -> str:
         return f"PiScaled({self.q!r}, {self.pi_exponent})"
@@ -210,5 +157,19 @@ def pi_scaled_to_json(v: PiScaled) -> dict:
     return {"q": str(v.q), "pi": v.pi_exponent}
 
 
-def pi_scaled_from_json(obj: dict) -> PiScaled:
-    return PiScaled(Fraction(obj["q"]), int(obj["pi"]))
+def format_halfint(h: HalfInt, frac: str = "{}/{}") -> str:
+    """Integers as themselves, else ``frac`` of the doubled value and 2: 3/2, -3/2."""
+    return str(h.twice // 2) if h.is_integer else frac.format(h.twice, 2)
+
+
+def format_pi_scaled(v: PiScaled, pi: str = "π", frac: str = "{}/{}") -> str:
+    """Sign first, then ``frac`` of |numerator| and denominator: -7/3, 9π/32, -π/2.
+
+    A unit coefficient of pi is left out, and a denominator of 1 drops the
+    fraction; zero renders as 0.
+    """
+    num, den = v.q.numerator, v.q.denominator
+    head = str(abs(num))
+    if v.pi_exponent:
+        head = pi if abs(num) == 1 else head + pi
+    return ("-" if num < 0 else "") + (head if den == 1 else frac.format(head, den))

@@ -20,7 +20,6 @@ for a gcd.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -216,11 +215,6 @@ def family_scale(i: int) -> int:
     return math.prod(range(top, 0, -2)) if top >= 1 else 1
 
 
-class Normalization(enum.Enum):
-    SMALLEST_INTEGERS = "smallest-integers"
-    RECURRENCE_SEEDED = "recurrence-seeded"
-
-
 @dataclass(frozen=True)
 class LegendreFunction:
     """(1-x^2)^(|m|/2) times a degree-i polynomial in x.
@@ -233,16 +227,11 @@ class LegendreFunction:
     m_abs: HalfInt
     degree: int
     coeffs: tuple[Fraction, ...]
-    normalization: Normalization
 
     @property
     def factor_exponent(self) -> Fraction:
         """Exponent of (1-x^2) in the prefactor: |m|/2."""
         return Fraction(self.m_abs.twice, 4)
-
-    @property
-    def pair(self) -> QuantumPair:
-        return QuantumPair(l=self.m_abs + HalfInt(2 * self.degree), m=self.m_abs)
 
 
 def legendre_function(l: HalfInt, m: HalfInt) -> LegendreFunction:
@@ -254,9 +243,4 @@ def legendre_function(l: HalfInt, m: HalfInt) -> LegendreFunction:
     i = pair.degree
     m_abs = pair.m_abs
     coeffs = _scaled_series(m_abs.twice, i, family_scale(i))
-    return LegendreFunction(
-        m_abs=m_abs,
-        degree=i,
-        coeffs=tuple(map(Fraction, coeffs)),
-        normalization=Normalization.SMALLEST_INTEGERS,
-    )
+    return LegendreFunction(m_abs=m_abs, degree=i, coeffs=tuple(map(Fraction, coeffs)))

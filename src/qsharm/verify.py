@@ -42,7 +42,6 @@ from .series import (
     AllZero,
     InvalidPair,
     LegendreFunction,
-    Normalization,
     QuantumPair,
     eigenvalue,
     legendre_function,
@@ -124,12 +123,7 @@ def recurrence_family(m_abs: HalfInt, l_max: HalfInt) -> list[LegendreFunction]:
         raise InvalidPair(f"l_max={l_max} unreachable from |m|={m_abs}")
 
     def entry(i: int, coeffs: list[Fraction]) -> LegendreFunction:
-        return LegendreFunction(
-            m_abs=m_abs,
-            degree=i,
-            coeffs=tuple(coeffs),
-            normalization=Normalization.RECURRENCE_SEEDED,
-        )
+        return LegendreFunction(m_abs=m_abs, degree=i, coeffs=tuple(coeffs))
 
     steps = (l_max.twice - m_abs.twice) // 2
     family = [entry(0, [Fraction(1)])]

@@ -5,10 +5,12 @@ import hashlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from qsharm.cli import (
+    _CELL_FORMATS,
     format_factor,
     format_poly,
     main,
@@ -17,7 +19,7 @@ from qsharm.cli import (
     text_exponent,
 )
 from qsharm.evaluate import eval_harmonic, harmonic
-from qsharm.numerics import HalfInt
+from qsharm.numerics import HalfInt, PiScaled
 from qsharm.series import legendre_function
 
 
@@ -40,6 +42,25 @@ class TestFormatting:
         assert format_factor(HalfInt(3), text_exponent) == "(1-x^2)^(3/4)"
         assert format_factor(HalfInt(4), text_exponent) == "(1-x^2)"
         assert format_factor(HalfInt(8), text_exponent) == "(1-x^2)^2"
+
+    @pytest.mark.parametrize("value,text,latex", [
+        (PiScaled(Fraction(9, 32), 1), "9π/32", r"\frac{9\pi}{32}"),
+        (PiScaled(Fraction(1, 2), 1), "π/2", r"\frac{\pi}{2}"),
+        (PiScaled(Fraction(-1, 2), 1), "-π/2", r"-\frac{\pi}{2}"),
+        (PiScaled(-3, 1), "-3π", r"-3\pi"),
+        (PiScaled(1, 1), "π", r"\pi"),
+        (PiScaled(Fraction(2, 3)), "2/3", r"\frac{2}{3}"),
+        (PiScaled(-7), "-7", "-7"),
+        (PiScaled(0, 1), "0", "0"),
+        (HalfInt(3), "3/2", r"\frac{3}{2}"),
+        (HalfInt(4), "2", "2"),
+        (HalfInt(-3), "-3/2", r"\frac{-3}{2}"),
+    ])
+    def test_symbolic_cells(self, value, text, latex):
+        """Norm cells (PiScaled) and |m| labels (HalfInt) in both symbolic formats."""
+        slot = 2 if isinstance(value, PiScaled) else 0
+        assert str(value) == _CELL_FORMATS["text"][slot](value) == text
+        assert _CELL_FORMATS["latex"][slot](value) == latex
 
 
 class TestTableCommand:
@@ -98,11 +119,12 @@ class TestTableCommand:
 
     def test_latex_default_tables_entry_equivalent_to_golden(self, capsys):
         """Every default-table LaTeX cell carries the golden entry for its slot."""
-        from qsharm.cli import format_pi_scaled_latex, latex_exponent
+        from qsharm.cli import latex_exponent
         from qsharm.golden import reference_norm, reference_polynomial
 
         _, poly_doc, _ = run_cli(capsys, "table", "legendre", "--format", "latex")
         _, norm_doc, _ = run_cli(capsys, "table", "norms", "--format", "latex")
+        norm_cell = _CELL_FORMATS["latex"][2]
         poly_rows = [l for l in poly_doc.splitlines() if l.endswith("\\\\")]
         norm_rows = [l for l in norm_doc.splitlines() if l.endswith("\\\\")]
         assert len(poly_rows) == len(norm_rows) == 12
@@ -113,7 +135,7 @@ class TestTableCommand:
             for i in range(6):
                 poly = reference_polynomial(two_m, i)
                 assert poly_cells[2 + i] == format_poly(poly, latex_exponent)
-                assert norm_cells[1 + i] == format_pi_scaled_latex(reference_norm(two_m, i))
+                assert norm_cells[1 + i] == norm_cell(reference_norm(two_m, i))
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
@@ -292,6 +314,26 @@ class TestEvalCommand:
         )
         assert code == 1
         assert "error" in err
+
+    @staticmethod
+    def split_argv(**values):
+        """["--theta", "0.5", ...] with the defaults of the other eval flags."""
+        args = {"l": "3/2", "m": "1/2", "theta": "0.5", "phi": "0.25", **values}
+        return [token for key, value in args.items() for token in (f"--{key}", value)]
+
+    @pytest.mark.parametrize("flag,value", [("phi", "-1e-05"), ("m", "-1/2")])
+    def test_negative_value_as_its_own_token(self, capsys, flag, value):
+        argv = self.split_argv(**{flag: value})
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert (code, err) == (0, "")
+        joined = [f"{k}={v}" for k, v in zip(argv[::2], argv[1::2])]
+        assert run_cli(capsys, "eval", *joined) == (code, out, err)
+
+    @pytest.mark.parametrize("flag,value", [("phi", "-inf"), ("theta", "-0.1")])
+    def test_negative_value_outside_domain_is_one_error_line(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "eval", *self.split_argv(**{flag: value}))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSampleCommand:

@@ -24,7 +24,6 @@ from qsharm.norms import norm_theta
 from qsharm.numerics import HalfInt, PiScaled
 from qsharm.series import (
     LegendreFunction,
-    Normalization,
     QuantumPair,
     eigenvalue,
     legendre_function,
@@ -195,7 +194,6 @@ class TestOdeResidualExact:
             m_abs=HalfInt(1),
             degree=2,
             coeffs=(Fraction(1), Fraction(0), Fraction(-5)),
-            normalization=Normalization.SMALLEST_INTEGERS,
         )
         assert ode_residual_exact(wrong) != []
 
@@ -232,10 +230,10 @@ class TestOdeResidualExact:
             coeffs = list(f.coeffs)
             coeffs[rng.randrange(len(coeffs))] += Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             inputs += [f, dataclasses.replace(f, coeffs=tuple(coeffs))]
-        for two_m in range(12):
-            inputs += recurrence_family(HalfInt(two_m), HalfInt(two_m + 16))
-        assert any(f.normalization is Normalization.RECURRENCE_SEEDED
-                   and any(c.denominator != 1 for c in f.coeffs) for f in inputs)
+        seeded = [f for two_m in range(12)
+                  for f in recurrence_family(HalfInt(two_m), HalfInt(two_m + 16))]
+        assert any(c.denominator != 1 for f in seeded for c in f.coeffs)
+        inputs += seeded
         nonzero = 0
         for f in inputs:
             got = ode_residual_exact(f)
@@ -272,7 +270,6 @@ class TestOdeResidualNumeric:
                 m_abs=HalfInt(0),
                 degree=2,
                 coeffs=(Fraction(1), Fraction(0), Fraction(-2)),
-                normalization=Normalization.SMALLEST_INTEGERS,
             ),
         )
         assert abs(ode_residual_numeric(wrong, 1.0, 1e-4)) > 1e-2

@@ -13,7 +13,7 @@ import pytest
 import qsharm
 from qsharm.norms import MixedM, beta_moment, inner_product, norm_theta, phi_factor_over_pi
 from qsharm.numerics import HalfInt, PiScaled
-from qsharm.series import Normalization, legendre_function
+from qsharm.series import legendre_function
 from qsharm.verify import recurrence_family
 
 
@@ -226,7 +226,6 @@ class TestIntegerMomentSum:
         non_integer = 0
         for two_m in range(21):
             family = recurrence_family(HalfInt(two_m), HalfInt(two_m + 2 * 9))
-            assert family[0].normalization is Normalization.RECURRENCE_SEEDED
             non_integer += sum(c.denominator != 1 for f in family for c in f.coeffs)
             partners = family + [P(two_m + 2 * i, two_m) for i in range(10)]
             for f in family:

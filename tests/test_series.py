@@ -9,7 +9,6 @@ from qsharm.numerics import HalfInt
 from qsharm.series import (
     AllZero,
     InvalidPair,
-    Normalization,
     QuantumPair,
     build_system,
     eigenvalue,
@@ -166,7 +165,6 @@ class TestLegendreFunction:
         assert list(f.coeffs) == [1]
         assert f.factor_exponent == Fraction(1, 4)
         assert f.degree == 0
-        assert f.normalization is Normalization.SMALLEST_INTEGERS
 
     def test_reference_row_with_shared_family_scale(self):
         # gcd of these integers is 3: the family-wide convention keeps it.
@@ -190,8 +188,6 @@ class TestLegendreFunction:
         pair = QuantumPair(l=HalfInt(9), m=HalfInt(-1))
         assert pair.degree == 4
         assert pair.m_abs == HalfInt(1)
-        f = legendre_function(HalfInt(9), HalfInt(1))
-        assert f.pair.l == HalfInt(9)
 
     def test_no_hard_degree_ceiling(self):
         # exact arithmetic grows but never overflows; 2l = 201 works

@@ -15,7 +15,7 @@ import qsharm.norms as norms
 import qsharm.verify as verify
 from qsharm.cli import main
 from qsharm.numerics import HalfInt, PiScaled
-from qsharm.series import AllZero, InvalidPair, Normalization, legendre_function, series_coefficients
+from qsharm.series import AllZero, InvalidPair, legendre_function, series_coefficients
 from qsharm.verify import (
     NotProportional,
     Suite,
@@ -33,7 +33,6 @@ class TestRecurrenceFamily:
         assert [list(f.coeffs) for f in family[:2]] == [[1], [0, 1]]
         # 2 R_2 = 3x*x - 1 -> coefficient list [-1/2, 0, 3/2]
         assert list(family[2].coeffs) == [Fraction(-1, 2), 0, Fraction(3, 2)]
-        assert all(f.normalization is Normalization.RECURRENCE_SEEDED for f in family)
 
     def test_half_order_step(self):
         family = recurrence_family(HalfInt(1), HalfInt(5))
