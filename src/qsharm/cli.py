@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from .norms import norm_theta
 from .numerics import (HalfInt, format_halfint, format_pi_scaled, halfint_from_string,
                        pi_scaled_to_json)
 from .series import InvalidPair, LegendreFunction, legendre_function
-from .verify import SUITE_NAMES, run_suite
+from .verify import DEFAULT_TWO_L_MAX, SUITE_NAMES, run_suite
 
 # ---------------------------------------------------------------------------
 # Symbolic renderers
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a property suite and report pass/fail")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
-    p_verify.add_argument("--two-l-max", type=int, default=25)
+    p_verify.add_argument("--two-l-max", type=int, default=DEFAULT_TWO_L_MAX)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
@@ -279,21 +280,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _is_negative_number(token: str) -> bool:
-    for parse in (float, halfint_from_string):
-        try:
-            parse(token)
-            return token.startswith("-")
-        except ValueError:
-            pass
-    return False
+# A "-"-led token that reads as a number or a fraction ("-1e-05", "-3/4",
+# "-inf") is a value, not a flag, so the flag's own type gets to judge it.
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Join "--phi -1e-05" as "--phi=-1e-05"; argparse reads only -3 and -.5 as values."""
+    """Join "--phi -1e-05" as "--phi=-1e-05"; argparse reads only -3 and -.5 as values.
+
+    Any "--flag" may take the value, so argparse itself resolves
+    abbreviations ("--the"), ambiguity and the value's type.
+    """
     out = []
     for token in argv:
-        if out and out[-1] in ("--theta", "--phi", "--l", "--m") and _is_negative_number(token):
+        if (_NEGATIVE_VALUE.match(token) and out and out[-1].startswith("--")
+                and len(out[-1]) > 2 and "=" not in out[-1]):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -132,9 +132,9 @@ def ode_residual_exact(f: LegendreFunction) -> list[Fraction]:
     ])
 
 
-def _ode_stencil(h: QuasiHarmonic, theta: float,
+def _ode_stencil(f: LegendreFunction, theta: float,
                  step: float) -> tuple[float, tuple[float, float, float]]:
-    """ode_residual_numeric at one angle, with the three Theta values it used."""
+    """ode_residual_numeric of f at one angle, with the three Theta values it used."""
     if step <= 0:
         raise ValueError("step must be positive")
     margin = ENDPOINT_EXCLUSION_STEPS * step
@@ -142,14 +142,13 @@ def _ode_stencil(h: QuasiHarmonic, theta: float,
         raise DomainError(
             f"theta={theta} within the endpoint exclusion zone (margin {margin})"
         )
-    f = h.theta_part
     t_minus = eval_theta(f, theta - step)
     t_mid = eval_theta(f, theta)
     t_plus = eval_theta(f, theta + step)
     d1 = (t_plus - t_minus) / (2 * step)
     d2 = (t_plus - 2 * t_mid + t_minus) / (step * step)
     a_val = float(eigenvalue(f.m_abs, f.degree))
-    m_sq = (h.pair.m.twice / 2) ** 2
+    m_sq = (f.m_abs.twice / 2) ** 2
     s = math.sin(theta)
     residual = d2 + (math.cos(theta) / s) * d1 + (a_val - m_sq / (s * s)) * t_mid
     return residual, (t_minus, t_mid, t_plus)
@@ -163,14 +162,15 @@ def ode_residual_numeric(h: QuasiHarmonic, theta: float, step: float) -> float:
     eigenfunction.  Angles within ENDPOINT_EXCLUSION_STEPS * step of the
     interval ends are rejected: half-odd-integer gradients diverge there.
     """
-    return _ode_stencil(h, theta, step)[0]
+    return _ode_stencil(h.theta_part, theta, step)[0]
 
 
 def quadrature_norm(f: LegendreFunction, nodes: int) -> float:
     """Composite-Simpson estimate of the squared theta norm.
 
-    Integrates Theta(theta)^2 sin(theta) = sin(theta)^(2|m|+1) *
-    poly(cos(theta))^2 over [0, pi] on ``nodes`` equal subintervals.
+    Integrates Theta(theta)^2 sin(theta) over [0, pi] on ``nodes`` equal
+    subintervals, with Theta from eval_theta, so each node value is the
+    exact Horner sum rounded once and does not cancel at large degree.
     The theta-form integrand is endpoint-smooth for every |m|, unlike
     the x-form whose weight has singular derivatives at +-1 for
     half-odd-integer orders.
@@ -179,15 +179,9 @@ def quadrature_norm(f: LegendreFunction, nodes: int) -> float:
         raise ValueError("need at least 16 subintervals")
     if nodes % 2 != 0:
         raise ValueError("composite Simpson needs an even subinterval count")
-    coeffs = [float(c) for c in f.coeffs]
-    sin_power = f.m_abs.twice + 1
 
     def integrand(t: float) -> float:
-        c = math.cos(t)
-        acc = 0.0
-        for a in reversed(coeffs):
-            acc = acc * c + a
-        return math.sin(t) ** sin_power * acc * acc
+        return math.sin(t) * eval_theta(f, t) ** 2
 
     h = math.pi / nodes
     total = integrand(0.0) + integrand(math.pi)

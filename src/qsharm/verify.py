@@ -30,19 +30,13 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import golden
-from .evaluate import (
-    QuasiHarmonic,
-    _ode_stencil,
-    eval_phi,
-    ode_residual_exact,
-)
+from .evaluate import _ode_stencil, eval_phi, ode_residual_exact
 from .norms import beta_moment, inner_product, norm_theta
 from .numerics import HalfInt
 from .series import (
     AllZero,
     InvalidPair,
     LegendreFunction,
-    QuantumPair,
     eigenvalue,
     legendre_function,
     poly_trim,
@@ -229,17 +223,13 @@ _NUMERIC_STEP = 1e-4
 def _suite_ode_numeric(two_l_max: int) -> list[CaseResult]:
     cases = []
     for m_abs, i in lattice(two_l_max):
-        l = m_abs + HalfInt(2 * i)
-        h = QuasiHarmonic(
-            pair=QuantumPair(l=l, m=m_abs),
-            theta_part=legendre_function(l, m_abs),
-        )
+        f = legendre_function(m_abs + HalfInt(2 * i), m_abs)
         a_val = float(eigenvalue(m_abs, i))
         worst = 0.0
         worst_tol = 0.0
         ok = True
         for theta in _NUMERIC_THETAS:
-            r, values = _ode_stencil(h, theta, _NUMERIC_STEP)
+            r, values = _ode_stencil(f, theta, _NUMERIC_STEP)
             r = abs(r)
             tol = 1e-6 * (1.0 + a_val) ** 2 * max(1.0, *map(abs, values))
             if r > worst:

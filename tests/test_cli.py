@@ -329,6 +329,30 @@ class TestEvalCommand:
         joined = [f"{k}={v}" for k, v in zip(argv[::2], argv[1::2])]
         assert run_cli(capsys, "eval", *joined) == (code, out, err)
 
+    @pytest.mark.parametrize("name,flag,value", [
+        ("theta", "--the", "-0.5e-3"),
+        ("theta", "--thet", "-0e-3"),
+        ("l", "--l", "-5/4"),
+        ("m", "--m", "-3/4"),
+        ("phi", "--phi", "-1.5.2"),
+    ])
+    def test_negative_value_reaches_the_flags_own_check(self, capsys, name, flag, value):
+        # An abbreviated flag or a value its type rejects ends as the
+        # "--flag=value" form does, not in argparse's "expected one argument".
+        argv = self.split_argv(**{name: value})
+        argv[argv.index(f"--{name}")] = flag
+        joined = [f"{k}={v}" for k, v in zip(argv[::2], argv[1::2])]
+
+        def outcome(args):
+            try:
+                return run_cli(capsys, "eval", *args)
+            except SystemExit as exc:  # argparse's own rejection
+                return exc.code, *capsys.readouterr()
+
+        split = outcome(argv)
+        assert "expected one argument" not in split[2]
+        assert split == outcome(joined)
+
     @pytest.mark.parametrize("flag,value", [("phi", "-inf"), ("theta", "-0.1")])
     def test_negative_value_outside_domain_is_one_error_line(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "eval", *self.split_argv(**{flag: value}))

@@ -29,6 +29,7 @@ from qsharm.series import (
     legendre_function,
 )
 from qsharm.verify import recurrence_family
+from test_acceptance import ROUNDING_FLOOR
 
 
 def P(two_l, two_m):
@@ -306,6 +307,18 @@ class TestQuadratureNorm:
         e1 = abs(quadrature_norm(f, 512) - exact)
         e2 = abs(quadrature_norm(f, 1024) - exact)
         assert math.log2(e1 / e2) > 2.0
+
+    @pytest.mark.parametrize("two_l,two_m", [(61, 1), (101, 1), (100, 0), (101, 37)])
+    def test_deep_pairs_hold_criterion_6(self, two_l, two_m):
+        # Acceptance criterion 6's tolerances past its 2l <= 21 range, where
+        # large alternating coefficients cancel in a float Horner pass.
+        f = P(two_l, two_m)
+        exact = float(norm_theta(f))
+        err_fine = abs(quadrature_norm(f, 8192) - exact) / exact
+        assert err_fine <= 1e-9
+        if err_fine > ROUNDING_FLOOR:
+            err_coarse = abs(quadrature_norm(f, 4096) - exact) / exact
+            assert math.log2(err_coarse / err_fine) >= 2.0
 
 
 @pytest.mark.parametrize(
